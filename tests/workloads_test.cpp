@@ -5,6 +5,8 @@
 
 #include "core/explorer.hpp"
 #include "core/pareto.hpp"
+#include "persist/app_container.hpp"
+#include "persist/fnv.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "workloads/btpc_workload.hpp"
@@ -84,6 +86,40 @@ TEST(Workloads, ProfilesAreDeterministicPerSeed) {
     const auto a = workload->profile(small_options());
     const auto b = workload->profile(small_options());
     EXPECT_EQ(a.to_string(), b.to_string()) << name;
+  }
+}
+
+// Profile pins: the FNV-1a of the serialized APP1 profile of every model the
+// `explore` example profiles (the registered kernels plus its entropy-coder
+// roster), at the small test geometry and the default seed.  Any change to
+// the recorder, the reuse simulation or a kernel's access sequence that
+// moves a single profiled number moves one of these hashes.
+TEST(Workloads, ExploreModelProfilesArePinned) {
+  struct Pin {
+    const char* workload;
+    std::optional<entropy::Backend> backend;
+    const char* fnv;  ///< persist::to_hex of the FNV-1a
+  };
+  const std::vector<Pin> pins = {
+      {"btpc", std::nullopt, "7dcd65765a1b35c2"},
+      {"hyperspec", std::nullopt, "7baa2e661542a5d6"},
+      {"line_buffer", std::nullopt, "5dd489b8d6e174f5"},
+      {"motion", std::nullopt, "ec9a8c48559a1b59"},
+      {"btpc", entropy::Backend::kRice, "a4bae0952deded38"},
+      {"btpc", entropy::Backend::kExpGolomb, "ed9fcdfcf93e1cdd"},
+      {"hyperspec", entropy::Backend::kExpGolomb, "224c9372015328bf"},
+      {"hyperspec", entropy::Backend::kRans, "df5bab194a69b941"},
+  };
+  for (const auto& pin : pins) {
+    const auto* workload = find_workload(pin.workload);
+    ASSERT_NE(workload, nullptr) << pin.workload;
+    auto options = small_options();
+    options.entropy_backend = pin.backend;
+    const auto bytes = persist::serialize(workload->profile(options));
+    EXPECT_EQ(persist::to_hex(persist::fnv1a(bytes.data(), bytes.size())), pin.fnv)
+        << pin.workload << "["
+        << (pin.backend ? std::string(entropy::to_string(*pin.backend)) : "default")
+        << "]";
   }
 }
 
