@@ -12,7 +12,7 @@ ir::Application profile_btpc_demonstrator(const BtpcCaseOptions& options) {
       options.profile_width, options.profile_height, support::SyntheticKind::kCompound,
       options.image_seed);
   return btpc::profile_btpc(frame, options.design_width, options.design_height,
-                            options.codec, options.recorder);
+                            options.codec);
 }
 
 namespace {

@@ -912,9 +912,8 @@ EncodedCube deserialize(const std::vector<std::uint8_t>& bytes) {
 }
 
 ir::Application profile_hyperspec(const Cube& cube, CubeShape declared,
-                                  const HsCodecOptions& options,
-                                  const trace::RecorderOptions& recorder_options) {
-  trace::Recorder recorder("hyperspec", recorder_options);
+                                  const HsCodecOptions& options) {
+  trace::Recorder recorder("hyperspec");
   Encoder encoder(recorder, cube.shape(), declared, options);
   (void)encoder.encode(cube, options);
   const CubeShape d = fill_declared(declared, cube.shape());

@@ -236,7 +236,6 @@ class Decoder {
 /// application model, declared at `declared` geometry and extrapolated by
 /// the sample-count ratio.
 [[nodiscard]] ir::Application profile_hyperspec(
-    const Cube& cube, CubeShape declared, const HsCodecOptions& options = {},
-    const trace::RecorderOptions& recorder_options = {});
+    const Cube& cube, CubeShape declared, const HsCodecOptions& options = {});
 
 }  // namespace dtse::hyperspec

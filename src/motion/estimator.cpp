@@ -462,9 +462,8 @@ MotionField reference_full_search(const support::Image& reference,
 }
 
 ir::Application profile_motion(const FramePair& frames, int declared_width,
-                               int declared_height, const MotionOptions& options,
-                               const trace::RecorderOptions& recorder_options) {
-  trace::Recorder recorder("motion", recorder_options);
+                               int declared_height, const MotionOptions& options) {
+  trace::Recorder recorder("motion");
   Estimator estimator(recorder, frames.reference.width(), frames.reference.height(),
                       options, declared_width, declared_height);
   (void)estimator.estimate(frames.reference, frames.current);

@@ -162,7 +162,6 @@ class Estimator {
 /// extrapolated by the block-count ratio.
 [[nodiscard]] ir::Application profile_motion(
     const FramePair& frames, int declared_width, int declared_height,
-    const MotionOptions& options = {},
-    const trace::RecorderOptions& recorder_options = {});
+    const MotionOptions& options = {});
 
 }  // namespace dtse::motion

@@ -17,8 +17,10 @@
 // through CodecOptions / HsCodecOptions / MotionOptions / WorkloadOptions.
 // The AVX2 bodies are compiled with a per-function target attribute, so the
 // baseline build carries every path and `kAuto` picks the widest one the
-// host supports.  The `DTSE_SIMD_MODE` environment variable overrides every
-// option knob — that is what CI uses to force each path end to end.
+// host supports.  The `DTSE_SIMD_MODE` environment variable steers `kAuto`
+// requests only — that is what CI uses to force each path through `explore`
+// end to end — while an explicit request always wins, so the differential
+// tests and the forced-scalar bench twins run the path they name.
 // Configuring with -DDTSE_SIMD=OFF defines DTSE_SIMD_DISABLED and compiles
 // the scalar reference only.
 #pragma once
@@ -121,14 +123,17 @@ enum class SimdMode : std::uint8_t {
   return SimdMode::kScalar;
 }
 
-/// Resolves an option knob to the path a kernel actually runs: the
-/// DTSE_SIMD_MODE environment variable (if set to a recognized name)
-/// overrides the request, kAuto resolves to the widest dispatchable path,
-/// and a request this build or host cannot serve degrades to the widest
-/// dispatchable path below it.  Never returns kAuto.
+/// Resolves an option knob to the path a kernel actually runs: a kAuto
+/// request follows the DTSE_SIMD_MODE environment variable (if set to a
+/// recognized name) and otherwise resolves to the widest dispatchable path;
+/// an explicit request ignores the variable.  A request this build or host
+/// cannot serve degrades to the widest dispatchable path below it.  Never
+/// returns kAuto.
 [[nodiscard]] inline SimdMode resolve_simd_mode(SimdMode requested) {
-  if (const char* env = std::getenv("DTSE_SIMD_MODE")) {
-    if (const auto parsed = simd_mode_from_name(env)) requested = *parsed;
+  if (requested == SimdMode::kAuto) {
+    if (const char* env = std::getenv("DTSE_SIMD_MODE")) {
+      if (const auto parsed = simd_mode_from_name(env)) requested = *parsed;
+    }
   }
   if (requested == SimdMode::kAuto) return widest_simd_mode();
   if (requested == SimdMode::kAvx2 && !simd_mode_dispatchable(SimdMode::kAvx2)) {

@@ -36,6 +36,8 @@ class InstrumentedArray {
                     T fill = T{}, std::uint64_t declared_words = 0,
                     std::optional<memlib::Location> forced_location = std::nullopt)
       : name_(name), data_(size, fill), recorder_(&recorder) {
+    // The reuse simulation keys reads by 32-bit index (see recorder.hpp).
+    DTSE_CHECK(size <= StackDistanceSim::kNoKey, "array too large to profile: " + name_);
     id_ = recorder.register_array(std::move(name),
                                   declared_words ? declared_words : size, bitwidth,
                                   forced_location);

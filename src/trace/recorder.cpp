@@ -1,7 +1,9 @@
 #include "trace/recorder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
@@ -15,191 +17,119 @@ constexpr ir::AccessKind kind_of(std::uint32_t slot) {
   return static_cast<ir::AccessKind>(slot & 1u);
 }
 
-/// splitmix64 finalizer: the index hash of the reuse simulators' flat maps.
-constexpr std::uint64_t mix_index(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+/// Time slots past twice the largest window.  A compaction keeps at most the
+/// largest window's worth of marks, so at least largest + kTimeSlack reads
+/// pass between compactions, even on a one-word ladder.
+constexpr std::uint32_t kTimeSlack = 64;
 
 }  // namespace
 
-// --- ReuseSim ----------------------------------------------------------------
+// --- StackDistanceSim --------------------------------------------------------
 
-void ReuseSim::init(ReuseSimMode mode, std::uint64_t ring_threshold,
-                    std::uint64_t capacity, std::uint64_t declared_capacity) {
-  capacity_ = capacity;
-  declared_capacity_ = declared_capacity;
-  switch (mode) {
-    case ReuseSimMode::kReferenceLru:
-      backend_ = Backend::kReference;
-      return;
-    case ReuseSimMode::kExact:
-      backend_ = capacity <= ring_threshold ? Backend::kRing : Backend::kFlatLru;
-      break;
-    case ReuseSimMode::kClock:
-      backend_ = capacity <= ring_threshold ? Backend::kRing : Backend::kClock;
-      break;
+StackDistanceSim::StackDistanceSim(const std::vector<std::uint64_t>& capacities) {
+  DTSE_CHECK(!capacities.empty(), "a reuse ladder needs at least one window");
+  std::vector<std::uint32_t> order(capacities.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return capacities[a] < capacities[b];
+  });
+  rank_.resize(capacities.size());
+  for (std::uint32_t r = 0; r < order.size(); ++r) {
+    rank_[order[r]] = r;
+    ranked_capacity_.push_back(capacities[order[r]]);
   }
-  if (backend_ == Backend::kRing) {
-    ring_.reserve(capacity);
-    return;
+  misses_by_rank_.assign(capacities.size(), 0);
+
+  // Time slots and map entries are 32-bit; keep the time axis well inside.
+  DTSE_CHECK(ranked_capacity_.front() > 0, "reuse window must hold at least one word");
+  DTSE_CHECK(ranked_capacity_.back() <= (std::uint64_t{1} << 28),
+             "reuse window too large for the 32-bit time axis");
+  largest_ = static_cast<std::uint32_t>(ranked_capacity_.back());
+  const std::uint32_t slots = 2 * largest_ + kTimeSlack;
+  tree_.assign(slots + 1, 0);
+  key_at_.assign(slots, kNoKey);
+  // At most `slots` keys are ever mapped: load factor <= 2/3.
+  const std::uint64_t map_size = std::bit_ceil(std::uint64_t{slots} + slots / 2);
+  map_.assign(map_size, MapEntry{});
+  map_shift_ = 64u - static_cast<unsigned>(std::countr_zero(map_size));
+}
+
+StackDistanceSim::MapEntry& StackDistanceSim::probe(std::uint32_t key) {
+  const std::size_t mask = map_.size() - 1;
+  std::size_t at = (key * 0x9E3779B97F4A7C15ULL) >> map_shift_;
+  while (map_[at].key != key && map_[at].key != kNoKey) at = (at + 1) & mask;
+  return map_[at];
+}
+
+void StackDistanceSim::add_mark(std::uint32_t time, std::int32_t delta) {
+  for (std::size_t i = std::size_t{time} + 1; i < tree_.size(); i += i & (~i + 1)) {
+    tree_[i] += static_cast<std::uint32_t>(delta);
   }
-  // Flat map sized at twice the capacity (load factor <= 0.5), power of two.
-  std::uint64_t map_size = 2;
-  while (map_size < 2 * capacity) map_size <<= 1;
-  map_mask_ = map_size - 1;
-  map_keys_.assign(map_size, kEmptyKey);
-  map_vals_.assign(map_size, 0);
-  if (backend_ == Backend::kFlatLru) {
-    nodes_.reserve(capacity);
+}
+
+std::uint32_t StackDistanceSim::marks_up_to(std::uint32_t time) const {
+  std::uint32_t sum = 0;
+  for (std::size_t i = std::size_t{time} + 1; i > 0; i &= i - 1) sum += tree_[i];
+  return sum;
+}
+
+void StackDistanceSim::touch(std::uint32_t key) {
+  DTSE_DCHECK(key != kNoKey, "reuse key out of the 32-bit range");
+  if (now_ == key_at_.size()) compact();
+  MapEntry& entry = probe(key);
+  if (entry.key == kNoKey) {
+    entry.key = key;
+    ++live_;
+    ++far_;
   } else {
-    slots_.reserve(capacity);
-  }
-}
-
-std::uint32_t* ReuseSim::map_find(std::uint64_t key) {
-  std::uint64_t slot = mix_index(key) & map_mask_;
-  while (map_keys_[slot] != kEmptyKey) {
-    if (map_keys_[slot] == key) return &map_vals_[slot];
-    slot = (slot + 1) & map_mask_;
-  }
-  return nullptr;
-}
-
-void ReuseSim::map_insert(std::uint64_t key, std::uint32_t value) {
-  std::uint64_t slot = mix_index(key) & map_mask_;
-  while (map_keys_[slot] != kEmptyKey) slot = (slot + 1) & map_mask_;
-  map_keys_[slot] = key;
-  map_vals_[slot] = value;
-}
-
-void ReuseSim::map_erase(std::uint64_t key) {
-  std::uint64_t slot = mix_index(key) & map_mask_;
-  while (map_keys_[slot] != key) {
-    DTSE_DCHECK(map_keys_[slot] != kEmptyKey, "erasing an absent reuse-map key");
-    slot = (slot + 1) & map_mask_;
-  }
-  // Backward-shift deletion keeps probe chains intact without tombstones.
-  std::uint64_t hole = slot;
-  std::uint64_t probe = (hole + 1) & map_mask_;
-  while (map_keys_[probe] != kEmptyKey) {
-    const std::uint64_t home = mix_index(map_keys_[probe]) & map_mask_;
-    // Move the probed entry into the hole unless its home slot lies
-    // (cyclically) after the hole — then the hole does not break its chain.
-    const bool keep = hole <= probe ? (home > hole && home <= probe)
-                                    : (home > hole || home <= probe);
-    if (!keep) {
-      map_keys_[hole] = map_keys_[probe];
-      map_vals_[hole] = map_vals_[probe];
-      hole = probe;
-    }
-    probe = (probe + 1) & map_mask_;
-  }
-  map_keys_[hole] = kEmptyKey;
-}
-
-void ReuseSim::touch_ring(std::uint64_t index) {
-  const std::size_t size = ring_.size();
-  for (std::size_t i = 0; i < size; ++i) {
-    if (ring_[i] == index) {
-      // Move-to-front: everything above the hit shifts down one place.
-      for (std::size_t j = i; j > 0; --j) ring_[j] = ring_[j - 1];
-      ring_[0] = index;
-      return;
-    }
-  }
-  ++misses_;
-  if (size < capacity_) ring_.push_back(0);
-  for (std::size_t j = ring_.size() - 1; j > 0; --j) ring_[j] = ring_[j - 1];
-  ring_[0] = index;
-}
-
-void ReuseSim::touch_flat(std::uint64_t index) {
-  if (const auto* found = map_find(index)) {
-    const std::uint32_t n = *found;
-    if (n == head_) return;
-    // Unlink, then relink at the head.
-    nodes_[nodes_[n].prev].next = nodes_[n].next;
-    if (n == tail_) {
-      tail_ = nodes_[n].prev;
+    // Stack distance: marks strictly newer than this key's last read.
+    const std::uint32_t distance = live_ - marks_up_to(entry.time);
+    if (distance >= largest_) {
+      ++far_;
     } else {
-      nodes_[nodes_[n].next].prev = nodes_[n].prev;
+      for (std::size_t r = 0; ranked_capacity_[r] <= distance; ++r) ++misses_by_rank_[r];
     }
-    nodes_[n].prev = 0;
-    nodes_[n].next = head_;
-    nodes_[head_].prev = n;
-    head_ = n;
-    return;
+    add_mark(entry.time, -1);
+    key_at_[entry.time] = kNoKey;
   }
-  ++misses_;
-  std::uint32_t n;
-  if (node_count_ < capacity_) {
-    n = node_count_++;
-    if (nodes_.size() <= n) nodes_.push_back({});
-    if (n == 0) {  // first entry: list of one
-      nodes_[0] = {index, 0, 0};
-      head_ = tail_ = 0;
-      map_insert(index, 0);
-      return;
-    }
-  } else {
-    n = tail_;
-    map_erase(nodes_[n].key);
-    tail_ = nodes_[n].prev;
-  }
-  nodes_[n].key = index;
-  nodes_[n].next = head_;
-  nodes_[head_].prev = n;
-  head_ = n;
-  map_insert(index, n);
+  entry.time = now_;
+  key_at_[now_] = key;
+  add_mark(now_, +1);
+  ++now_;
 }
 
-void ReuseSim::touch_clock(std::uint64_t index) {
-  if (const auto* found = map_find(index)) {
-    slots_[*found].ref = 1;
-    return;
+void StackDistanceSim::compact() {
+  // Keep the newest `largest_` marks; an older one would see d >= largest_
+  // on its next read and miss everywhere, which a forgotten key does too.
+  const std::uint32_t keep = std::min(live_, largest_);
+  std::uint32_t first = now_;
+  for (std::uint32_t found = 0; found < keep;) {
+    if (key_at_[--first] != kNoKey) ++found;
   }
-  ++misses_;
-  std::uint32_t slot;
-  if (used_ < capacity_) {
-    slot = used_++;
-    slots_.push_back({});
-  } else {
-    // Second chance: clear ref bits until an unreferenced victim comes by.
-    while (slots_[hand_].ref != 0) {
-      slots_[hand_].ref = 0;
-      hand_ = hand_ + 1 == used_ ? 0 : hand_ + 1;
-    }
-    slot = hand_;
-    map_erase(slots_[slot].key);
-    hand_ = hand_ + 1 == used_ ? 0 : hand_ + 1;
+  std::fill(map_.begin(), map_.end(), MapEntry{});
+  std::uint32_t time = 0;
+  for (std::uint32_t t = first; t < now_; ++t) {
+    const std::uint32_t key = key_at_[t];
+    if (key == kNoKey) continue;
+    key_at_[time] = key;
+    probe(key) = {key, time};
+    ++time;
   }
-  slots_[slot] = {index, 1};
-  map_insert(index, slot);
-}
-
-void ReuseSim::touch_reference(std::uint64_t index) {
-  const auto it = where_.find(index);
-  if (it != where_.end()) {
-    order_.erase(it->second);
-    order_.push_front(index);
-    it->second = order_.begin();
-    return;
+  std::fill(key_at_.begin() + time, key_at_.end(), kNoKey);
+  // Marks now fill times [0, keep): node i covers (i - lowbit(i), i].
+  for (std::size_t i = 1; i < tree_.size(); ++i) {
+    const std::size_t low = i - (i & (~i + 1));
+    tree_[i] = static_cast<std::uint32_t>(std::min<std::size_t>(i, keep) -
+                                          std::min<std::size_t>(low, keep));
   }
-  ++misses_;
-  order_.push_front(index);
-  where_[index] = order_.begin();
-  if (order_.size() > capacity_) {
-    where_.erase(order_.back());
-    order_.pop_back();
-  }
+  live_ = keep;
+  now_ = keep;
 }
 
 // --- Recorder ----------------------------------------------------------------
 
-Recorder::Recorder(std::string application_name, RecorderOptions options)
-    : app_name_(std::move(application_name)), options_(options) {}
+Recorder::Recorder(std::string application_name)
+    : app_name_(std::move(application_name)) {}
 
 ArrayId Recorder::register_array(std::string name, std::uint64_t words, int bitwidth,
                                  std::optional<memlib::Location> forced_location) {
@@ -223,16 +153,17 @@ void Recorder::set_reuse_windows(ArrayId array, std::vector<WindowSpec> windows)
             [](const WindowSpec& a, const WindowSpec& b) {
               return a.declared_words < b.declared_words;
             });
-  auto& reuse = arrays_[array].reuse;
-  reuse.clear();
+  std::vector<std::uint64_t> sim_words;
+  std::vector<std::uint64_t> declared_words;
   for (const auto& window : windows) {
     DTSE_CHECK(window.sim_words > 0 && window.declared_words > 0,
                "reuse window must hold at least one word");
-    ReuseSim sim;
-    sim.init(options_.reuse_sim, options_.exact_ring_capacity, window.sim_words,
-             window.declared_words);
-    reuse.push_back(std::move(sim));
+    sim_words.push_back(window.sim_words);
+    declared_words.push_back(window.declared_words);
   }
+  auto& info = arrays_[array];
+  info.declared_windows = std::move(declared_words);
+  info.reuse = windows.empty() ? StackDistanceSim{} : StackDistanceSim(sim_words);
 }
 
 void Recorder::set_reuse_windows(ArrayId array,
@@ -420,12 +351,14 @@ ir::Application Recorder::build(double scale) const {
 
   std::uint64_t reuse_misses = 0;
   for (std::size_t i = 0; i < arrays_.size(); ++i) {
-    if (arrays_[i].reuse.empty()) continue;
+    const auto& info = arrays_[i];
+    if (!info.reuse.active()) continue;
     ir::ReuseProfile profile;
-    for (const auto& sim : arrays_[i].reuse) {
-      reuse_misses += sim.misses();
+    for (std::size_t w = 0; w < info.declared_windows.size(); ++w) {
+      const std::uint64_t misses = info.reuse.misses(w);
+      reuse_misses += misses;
       profile.windows.push_back(
-          {sim.declared_capacity(), static_cast<double>(sim.misses()) * scale});
+          {info.declared_windows[w], static_cast<double>(misses) * scale});
     }
     app.set_reuse_profile(group_of[i], std::move(profile));
   }

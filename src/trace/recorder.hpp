@@ -12,18 +12,23 @@
 //   * same-index co-access pairs between arrays (merging candidates),
 //   * a dependency skeleton (reads gate subsequent writes; accesses to the
 //     same array are ordered), giving the MACP analysis its DAG,
-// and per array a working-set reuse simulation at configurable capacities
+// and per array the reuse curve: LRU misses at a ladder of window capacities
 // (the data-reuse input of the memory hierarchy decision).
 //
-// The reuse simulation runs on every instrumented read, once per window, so
-// its inner loop is flat and allocation-free: small windows run an exact
-// move-to-front ring, large windows an exact intrusive LRU list over
-// preallocated nodes with an open-addressing index map (`ReuseSimMode::
-// kExact`, the default — miss counts bit-identical to a textbook LRU stack).
-// `ReuseSimMode::kClock` trades exactness above the ring threshold for a
-// clock/second-chance approximation (one ref-bit write per hit), and
-// `ReuseSimMode::kReferenceLru` keeps the original std::list +
-// unordered_map simulator as the equivalence/bench baseline.
+// The reuse curve comes from one stack-distance computation per read, not
+// one simulator per window.  LRU has the inclusion property (Mattson et al.,
+// IBM Syst. J. 1970): a read hits a window of W words iff fewer than W
+// distinct indices were read since its previous read (its stack distance
+// d).  `StackDistanceSim` keeps a Fenwick tree over last-read times (one
+// mark per live index; Bennett & Kruskal 1975, Olken 1981) and an
+// open-addressing map from index to last time.  A read costs one map probe,
+// one prefix query for d and two point updates, and charges a miss to every
+// window with capacity <= d; a first read misses everywhere.  Memory stays
+// O(largest window): the time axis has 2*M + slack slots (M = largest
+// capacity), and when it fills a linear compaction renumbers the newest M
+// marks in time order and forgets the rest — an older mark has d >= M and
+// misses in every window when it is next read, exactly like a first read.
+// Miss counts equal a textbook LRU stack at every window.
 //
 // All aggregation state is flat and slot-indexed: a *slot* is
 // `array * 2 + kind`, so per-(array, kind) statistics live in plain vectors
@@ -39,12 +44,10 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/application.hpp"
@@ -54,96 +57,57 @@ namespace dtse::trace {
 
 using ArrayId = std::uint32_t;
 
-/// How reuse windows are simulated (see the header comment).
-enum class ReuseSimMode : std::uint8_t {
-  kExact,         ///< exact LRU misses, flat storage (ring / intrusive list)
-  kClock,         ///< exact ring below the threshold, clock approximation above
-  kReferenceLru,  ///< original list+hash LRU (equivalence tests, baseline bench)
-};
-
-struct RecorderOptions {
-  ReuseSimMode reuse_sim = ReuseSimMode::kExact;
-  /// Largest window capacity handled by the exact move-to-front ring.  In
-  /// kClock mode this is the exact/approximate boundary: the small windows
-  /// that decide register-file-sized hierarchy layers stay exact, only the
-  /// row-buffer-sized windows are approximated.
-  std::uint64_t exact_ring_capacity = 64;
-};
-
-/// One reuse-window simulator.  The backend is fixed at set-up from the
-/// recorder options and the window capacity; `touch` is the per-read hot
-/// path.  Exposed outside `Recorder` so the microbenchmarks can race the
-/// backends directly.
-class ReuseSim {
+/// LRU misses of one array at a ladder of window capacities, all from one
+/// stack-distance computation per read (see the header comment).  Keys are
+/// array indices below `kNoKey`.
+class StackDistanceSim {
  public:
-  void init(ReuseSimMode mode, std::uint64_t ring_threshold, std::uint64_t capacity,
-            std::uint64_t declared_capacity);
+  static constexpr std::uint32_t kNoKey = ~std::uint32_t{0};
 
-  void touch(std::uint64_t index) {
-    switch (backend_) {
-      case Backend::kRing: touch_ring(index); return;
-      case Backend::kFlatLru: touch_flat(index); return;
-      case Backend::kClock: touch_clock(index); return;
-      case Backend::kReference: touch_reference(index); return;
-    }
+  StackDistanceSim() = default;
+  /// `capacities[i]` is the size in words of window `i`; any order, repeats
+  /// allowed, every capacity at least one word.
+  explicit StackDistanceSim(const std::vector<std::uint64_t>& capacities);
+
+  [[nodiscard]] bool active() const { return !rank_.empty(); }
+
+  /// Records one read of `key`.
+  void touch(std::uint32_t key);
+
+  /// Misses of window `window` (constructor order) so far.
+  [[nodiscard]] std::uint64_t misses(std::size_t window) const {
+    return far_ + misses_by_rank_[rank_[window]];
   }
 
-  [[nodiscard]] std::uint64_t misses() const { return misses_; }
-  [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t declared_capacity() const { return declared_capacity_; }
-
  private:
-  enum class Backend : std::uint8_t { kRing, kFlatLru, kClock, kReference };
-
-  struct Node {
-    std::uint64_t key = 0;
-    std::uint32_t prev = 0;
-    std::uint32_t next = 0;
-  };
-  struct ClockSlot {
-    std::uint64_t key = 0;
-    std::uint8_t ref = 0;
+  struct MapEntry {
+    std::uint32_t key = kNoKey;
+    std::uint32_t time = 0;
   };
 
-  void touch_ring(std::uint64_t index);
-  void touch_flat(std::uint64_t index);
-  void touch_clock(std::uint64_t index);
-  void touch_reference(std::uint64_t index);
+  [[nodiscard]] MapEntry& probe(std::uint32_t key);
+  void add_mark(std::uint32_t time, std::int32_t delta);
+  [[nodiscard]] std::uint32_t marks_up_to(std::uint32_t time) const;
+  void compact();
 
-  // Open-addressing index map shared by the flat-LRU and clock backends.
-  [[nodiscard]] std::uint32_t* map_find(std::uint64_t key);
-  void map_insert(std::uint64_t key, std::uint32_t value);
-  void map_erase(std::uint64_t key);
+  std::vector<std::uint32_t> rank_;            ///< window -> ascending-capacity rank
+  std::vector<std::uint64_t> ranked_capacity_; ///< capacities, ascending
+  std::vector<std::uint64_t> misses_by_rank_;  ///< finite-distance misses per rank
+  std::uint64_t far_ = 0;  ///< reads with d >= the largest window (first reads too)
+  std::uint32_t largest_ = 0;
 
-  Backend backend_ = Backend::kRing;
-  std::uint64_t capacity_ = 0;
-  std::uint64_t declared_capacity_ = 0;
-  std::uint64_t misses_ = 0;
+  std::vector<std::uint32_t> tree_;    ///< Fenwick over time slots, 1-based
+  std::vector<std::uint32_t> key_at_;  ///< time -> key of its live mark, or kNoKey
+  std::uint32_t now_ = 0;              ///< next free time slot
+  std::uint32_t live_ = 0;             ///< live marks (distinct keys remembered)
 
-  std::vector<std::uint64_t> ring_;  ///< kRing: most-recent-first, <= capacity
-
-  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-  std::vector<std::uint64_t> map_keys_;   ///< kEmptyKey = free slot
-  std::vector<std::uint32_t> map_vals_;
-  std::uint64_t map_mask_ = 0;
-
-  std::vector<Node> nodes_;  ///< kFlatLru: preallocated, index-linked
-  std::uint32_t head_ = 0;
-  std::uint32_t tail_ = 0;
-  std::uint32_t node_count_ = 0;
-
-  std::vector<ClockSlot> slots_;  ///< kClock
-  std::uint32_t hand_ = 0;
-  std::uint32_t used_ = 0;
-
-  // kReference: the original simulator, kept verbatim for equivalence tests.
-  std::list<std::uint64_t> order_;  ///< front = most recent
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> where_;
+  std::vector<MapEntry> map_;  ///< key -> last time, power-of-two sized
+  unsigned map_shift_ = 0;     ///< 64 - log2(map size), for multiplicative hashing
 };
 
 class Recorder {
  public:
-  explicit Recorder(std::string application_name, RecorderOptions options = {});
+  explicit Recorder(std::string application_name);
 
   // --- declaration ---------------------------------------------------------
   /// Declares an array.  `words`/`bitwidth` describe the *product* geometry
@@ -161,6 +125,7 @@ class Recorder {
   };
 
   /// Enables LRU reuse simulation for the array at the given capacities.
+  /// The array's reads must use indices below `StackDistanceSim::kNoKey`.
   void set_reuse_windows(ArrayId array, std::vector<WindowSpec> windows);
   void set_reuse_windows(ArrayId array, const std::vector<std::uint64_t>& window_words);
 
@@ -179,6 +144,7 @@ class Recorder {
   void record(ArrayId array, std::uint64_t index, ir::AccessKind kind) {
     DTSE_CHECK(array < arrays_.size(), "unknown array");
     DTSE_CHECK(current_body_ >= 0, "record() outside of an Iteration scope");
+    DTSE_CHECK(index < StackDistanceSim::kNoKey, "index exceeds the 32-bit key range");
     record_slot(slot_of(array, kind), index);
   }
 
@@ -193,7 +159,7 @@ class Recorder {
     // layer serve reads, writes go to the backing store anyway.
     if ((slot & 1u) == static_cast<std::uint32_t>(ir::AccessKind::kRead)) {
       auto& reuse = arrays_[slot >> 1].reuse;
-      for (auto& sim : reuse) sim.touch(index);
+      if (reuse.active()) reuse.touch(static_cast<std::uint32_t>(index));
     }
   }
 
@@ -212,7 +178,8 @@ class Recorder {
     std::uint64_t words = 0;
     int bitwidth = 0;
     std::optional<memlib::Location> forced_location;
-    std::vector<ReuseSim> reuse;
+    std::vector<std::uint64_t> declared_windows;  ///< declared words, ascending
+    StackDistanceSim reuse;
   };
 
   /// Aggregated per-slot statistics within one loop body.
@@ -249,7 +216,6 @@ class Recorder {
   static void grow_body_state(BodyInfo& body, std::size_t arrays);
 
   std::string app_name_;
-  RecorderOptions options_;
   std::vector<ArrayInfo> arrays_;
   std::vector<BodyInfo> bodies_;
   std::map<std::string, std::size_t, std::less<>> body_index_;

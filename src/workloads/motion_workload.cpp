@@ -43,7 +43,7 @@ ir::Application MotionWorkload::profile(const WorkloadOptions& options) const {
   auto estimator_options = options_;
   estimator_options.simd = options.simd;
   return motion::profile_motion(frames, declared_width_, declared_height_,
-                                estimator_options, options.recorder);
+                                estimator_options);
 }
 
 VerifyReport MotionWorkload::verify(const WorkloadOptions& options) const {

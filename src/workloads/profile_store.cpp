@@ -11,8 +11,6 @@ std::string profile_cache_key(std::string_view workload_name,
   hash.update_string(workload_name);
   hash.update_u64(static_cast<std::uint64_t>(options.profile_size));
   hash.update_u64(options.seed);
-  hash.update_u8(static_cast<std::uint8_t>(options.recorder.reuse_sim));
-  hash.update_u64(options.recorder.exact_ring_capacity);
   // Distinguish "no override" from every concrete backend.
   hash.update_u8(options.entropy_backend.has_value() ? 1 : 0);
   hash.update_u8(options.entropy_backend.has_value()

@@ -5,8 +5,7 @@
 // those keys for profiled workload models: a key is the FNV-1a content hash
 // of everything `Workload::profile` is a deterministic function of,
 //
-//   (schema version, workload name, profile_size, seed,
-//    recorder.reuse_sim, recorder.exact_ring_capacity, entropy_backend)
+//   (schema version, workload name, profile_size, seed, entropy_backend)
 //
 // so two profiling requests collide exactly when the contract says they
 // must produce bit-identical models.  What the key does NOT cover is the
@@ -25,7 +24,7 @@ namespace dtse::workloads {
 /// Salt hashed into every profile cache key.  Bump on any change that makes
 /// previously cached models stale: profiling semantics, model tuning done
 /// inside `profile`, or the meaning of a `WorkloadOptions` field.
-inline constexpr std::uint64_t kProfileKeySchemaVersion = 1;
+inline constexpr std::uint64_t kProfileKeySchemaVersion = 2;
 
 /// The cache key (16 lowercase hex chars) for profiling `workload_name`
 /// under `options`.  Deterministic across runs and hosts.

@@ -28,7 +28,6 @@
 #include "entropy/entropy_coder.hpp"
 #include "ir/application.hpp"
 #include "support/simd.hpp"
-#include "trace/recorder.hpp"
 
 namespace dtse::workloads {
 
@@ -69,9 +68,6 @@ struct WorkloadOptions {
   int profile_size = 0;
   /// Seed of the synthetic input generator.
   std::uint64_t seed = 42;
-  /// Reuse-simulation knobs of the profiling run, forwarded to the recorder
-  /// (exact vs clock mode, exact-ring threshold).
-  trace::RecorderOptions recorder;
   /// Entropy backend override for workloads whose kernel ends in an entropy
   /// coder (btpc, hyperspec); empty keeps the workload's constructed codec
   /// options.  The codec contracts still apply: btpc rejects kRans and

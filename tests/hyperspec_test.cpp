@@ -243,19 +243,5 @@ TEST(HyperspecProfile, CubeReuseWindowsScaleWithDeclaredGeometry) {
   }
 }
 
-TEST(HyperspecProfile, RecorderOptionsSelectTheReuseBackend) {
-  const auto cube = make_synthetic_cube({3, 24, 24}, 42);
-  trace::RecorderOptions exact;
-  trace::RecorderOptions clock;
-  clock.reuse_sim = trace::ReuseSimMode::kClock;
-  const auto a = profile_hyperspec(cube, {}, {}, exact);
-  const auto b = profile_hyperspec(cube, {}, {}, clock);
-  // Access counts are identical (the sim only changes miss estimates)...
-  EXPECT_DOUBLE_EQ(a.total_accesses_per_frame(), b.total_accesses_per_frame());
-  // ...and both models stay valid inputs to the exploration.
-  EXPECT_NO_THROW(a.validate());
-  EXPECT_NO_THROW(b.validate());
-}
-
 }  // namespace
 }  // namespace dtse::hyperspec

@@ -8,13 +8,11 @@
 // (odd dimensions, widths straddling the 8/16-lane block bounds, degenerate
 // shapes) so every prologue/epilogue tail path runs.
 //
-// The differentials set the option knob directly.  When CI forces a path
-// with the DTSE_SIMD_MODE environment variable (the sanitizer legs), the
-// override collapses both sides of each differential onto the forced path —
-// the comparisons become vacuous but the forced kernels still execute over
-// every geometry, which is exactly what a sanitizer sweep wants.  The
-// dispatch unit tests pin the variable themselves, so they stay meaningful
-// in every configuration.
+// The differentials set the option knob directly, and an explicit request
+// wins over the DTSE_SIMD_MODE environment variable, so every differential
+// compares the path it names against the scalar reference in every
+// configuration; the variable (set by the CI sanitizer legs) steers only the
+// kAuto requests.  The dispatch unit tests pin the variable themselves.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -128,26 +126,27 @@ TEST(SimdDispatch, UnsupportedRequestDegradesToNextNarrowerPath) {
   }
 }
 
-TEST(SimdDispatch, EnvVariableOverridesTheOptionKnob) {
+TEST(SimdDispatch, EnvVariableSteersOnlyAutoRequests) {
   {
     const EnvGuard forced("scalar");
     EXPECT_EQ(resolve_simd_mode(SimdMode::kAuto), SimdMode::kScalar);
-    EXPECT_EQ(resolve_simd_mode(widest_simd_mode()), SimdMode::kScalar);
+    EXPECT_EQ(resolve_simd_mode(widest_simd_mode()), widest_simd_mode());
   }
   {
     // A forced wide path still degrades on a host that cannot run it, so CI
     // can export one value across heterogeneous runners.
     const EnvGuard forced("avx2");
-    EXPECT_EQ(resolve_simd_mode(SimdMode::kScalar),
+    EXPECT_EQ(resolve_simd_mode(SimdMode::kAuto),
               simd_mode_dispatchable(SimdMode::kAvx2)
                   ? SimdMode::kAvx2
                   : (simd_mode_dispatchable(SimdMode::kSse2) ? SimdMode::kSse2
                                                              : SimdMode::kScalar));
+    EXPECT_EQ(resolve_simd_mode(SimdMode::kScalar), SimdMode::kScalar);
   }
   {
-    // An unrecognized name is ignored, not an error: the option knob stands.
+    // An unrecognized name is ignored, not an error: kAuto picks the widest.
     const EnvGuard forced("altivec");
-    EXPECT_EQ(resolve_simd_mode(SimdMode::kScalar), SimdMode::kScalar);
+    EXPECT_EQ(resolve_simd_mode(SimdMode::kAuto), widest_simd_mode());
   }
 }
 

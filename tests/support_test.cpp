@@ -6,15 +6,19 @@
 #include <cmath>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
 #include "support/image.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/simd.hpp"
 #include "support/status.hpp"
 #include "support/strong_id.hpp"
 #include "support/table.hpp"
@@ -355,6 +359,34 @@ TEST(Parallel, ForRethrowsTheSmallestFailingIndex) {
       EXPECT_STREQ(e.what(), "index 7");
     }
   }
+}
+
+TEST(SimdMode, EnvVariableSteersAutoButExplicitRequestsWin) {
+  // CI exports DTSE_SIMD_MODE to force a path through `explore` (which
+  // requests kAuto); an explicit request — a differential test's scalar
+  // reference, a forced-scalar bench twin — must still run what it names.
+  constexpr const char* kVar = "DTSE_SIMD_MODE";
+  std::optional<std::string> saved;
+  if (const char* prev = std::getenv(kVar)) saved = prev;
+
+  ::setenv(kVar, "avx2", 1);
+  const SimdMode explicit_scalar = resolve_simd_mode(SimdMode::kScalar);
+  const SimdMode auto_under_avx2 = resolve_simd_mode(SimdMode::kAuto);
+  ::setenv(kVar, "scalar", 1);
+  const SimdMode auto_under_scalar = resolve_simd_mode(SimdMode::kAuto);
+  const SimdMode explicit_widest = resolve_simd_mode(widest_simd_mode());
+  if (saved) {
+    ::setenv(kVar, saved->c_str(), 1);
+  } else {
+    ::unsetenv(kVar);
+  }
+
+  EXPECT_EQ(explicit_scalar, SimdMode::kScalar);
+  EXPECT_EQ(explicit_widest, widest_simd_mode());
+  // kAuto follows the variable, degrading like an explicit avx2 request on
+  // a host or build without AVX2.
+  EXPECT_EQ(auto_under_avx2, resolve_simd_mode(SimdMode::kAvx2));
+  EXPECT_EQ(auto_under_scalar, SimdMode::kScalar);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // LRU reuse simulation, and IR extraction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "trace/instrumented_array.hpp"
@@ -254,16 +258,40 @@ TEST(InstrumentedArray2D, RowMajorIndexing) {
   EXPECT_EQ(app.group(ir::BasicGroupId(0)).words, 12u);
 }
 
-// --- reuse-simulation backends ----------------------------------------------
+// --- reuse simulation vs the textbook LRU -----------------------------------
 
-/// Replays `trace` as reads of one array under the given mode and returns
-/// the per-window miss counts.
-std::vector<double> reuse_misses(ReuseSimMode mode,
-                                 const std::vector<std::uint64_t>& windows,
-                                 const std::vector<std::uint64_t>& trace) {
-  RecorderOptions options;
-  options.reuse_sim = mode;
-  Recorder rec("app", options);
+/// The oracle: a textbook LRU stack (list + hash map) of `capacity` words,
+/// replaying `trace` and counting misses.  One simulator per window — the
+/// design the recorder's single stack-distance pass replaced.
+std::uint64_t reference_lru_misses(std::uint64_t capacity,
+                                   const std::vector<std::uint64_t>& trace) {
+  std::list<std::uint64_t> order;  // front = most recent
+  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> where;
+  std::uint64_t misses = 0;
+  for (const auto index : trace) {
+    const auto it = where.find(index);
+    if (it != where.end()) {
+      order.erase(it->second);
+      order.push_front(index);
+      it->second = order.begin();
+      continue;
+    }
+    ++misses;
+    order.push_front(index);
+    where[index] = order.begin();
+    if (order.size() > capacity) {
+      where.erase(order.back());
+      order.pop_back();
+    }
+  }
+  return misses;
+}
+
+/// Replays `trace` as reads of one array through the recorder and returns
+/// the profile's per-window misses (in declared-capacity order).
+std::vector<double> recorder_misses(const std::vector<Recorder::WindowSpec>& windows,
+                                    const std::vector<std::uint64_t>& trace) {
+  Recorder rec("app");
   const auto a = rec.register_array("a", 1 << 20, 8);
   rec.set_reuse_windows(a, windows);
   for (const auto index : trace) {
@@ -280,12 +308,13 @@ std::vector<double> reuse_misses(ReuseSimMode mode,
 
 /// Mixed access trace: sequential runs, row-back revisits, random jumps —
 /// the shapes the codec's parent reads produce.
-std::vector<std::uint64_t> mixed_trace(std::uint64_t span, std::uint64_t seed) {
+std::vector<std::uint64_t> mixed_trace(std::uint64_t span, std::uint64_t seed,
+                                       int length = 20'000) {
   support::Rng rng(seed);
   std::vector<std::uint64_t> trace;
-  trace.reserve(20'000);
+  trace.reserve(static_cast<std::size_t>(length));
   std::uint64_t cursor = 0;
-  for (int i = 0; i < 20'000; ++i) {
+  for (int i = 0; i < length; ++i) {
     switch (i % 8) {
       case 3: trace.push_back((cursor + span - 37) % span); break;
       case 5: trace.push_back(rng.below(span)); break;
@@ -296,59 +325,51 @@ std::vector<std::uint64_t> mixed_trace(std::uint64_t span, std::uint64_t seed) {
 }
 
 TEST(ReuseSim, ExactBackendsMatchReferenceLru) {
-  // Capacities straddle the exact-ring threshold (64): small windows run the
-  // move-to-front ring, large ones the flat intrusive LRU.  Both must
-  // reproduce the original list+hash simulator's misses exactly.
-  const std::vector<std::uint64_t> windows{2, 4, 63, 64, 65, 128, 1024};
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto trace = mixed_trace(4096, seed);
-    const auto reference = reuse_misses(ReuseSimMode::kReferenceLru, windows, trace);
-    const auto exact = reuse_misses(ReuseSimMode::kExact, windows, trace);
-    ASSERT_EQ(reference.size(), exact.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_DOUBLE_EQ(reference[i], exact[i])
-          << "window " << windows[i] << " seed " << seed;
+  // Every window of the profile must reproduce the oracle's misses exactly.
+  // The time axis of the stack-distance engine holds 2 * largest + 64 slots
+  // and compacts when full, forgetting all but the newest `largest` marks;
+  // the cases below cross many compactions and read working sets far larger
+  // than the biggest window, so the forget path is exercised too.
+  using Spec = Recorder::WindowSpec;
+  struct Case {
+    const char* what;
+    std::vector<Spec> windows;
+    std::uint64_t span;
+    int length;
+  };
+  const std::vector<Case> cases = {
+      {"codec-like ladder", {{2, 2}, {4, 4}, {63, 63}, {64, 64}, {65, 65},
+                             {128, 128}, {1024, 1024}}, 4096, 20'000},
+      {"one-word windows and repeats", {{1, 1}, {1, 1}, {3, 3}, {3, 3}, {8, 8}},
+       24, 20'000},
+      // Simulated and declared orders differ, as in narrow profile cubes.
+      {"sim order != declared order", {{64, 16}, {16, 64}, {256, 32}, {1, 512}},
+       1024, 20'000},
+      // (2 * 16 + 64) slots: 40 000 reads cross over 400 compactions.
+      {"many compactions", {{1, 1}, {2, 2}, {5, 5}, {16, 16}}, 48, 40'000},
+      // (2 * 1024 + 64) slots: over 18 compactions, working set 32x the window.
+      {"working set beyond the largest window", {{12, 12}, {256, 256}, {1024, 1024}},
+       32'768, 40'000},
+      {"single window", {{7, 7}}, 10, 5'000},
+  };
+  for (const auto& c : cases) {
+    auto by_declared = c.windows;
+    std::stable_sort(by_declared.begin(), by_declared.end(),
+                     [](const Spec& a, const Spec& b) {
+                       return a.declared_words < b.declared_words;
+                     });
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const auto trace = mixed_trace(c.span, seed, c.length);
+      const auto misses = recorder_misses(c.windows, trace);
+      ASSERT_EQ(misses.size(), by_declared.size()) << c.what;
+      for (std::size_t i = 0; i < misses.size(); ++i) {
+        EXPECT_DOUBLE_EQ(
+            misses[i],
+            static_cast<double>(reference_lru_misses(by_declared[i].sim_words, trace)))
+            << c.what << ": window " << by_declared[i].sim_words << " seed " << seed;
+      }
     }
   }
-}
-
-TEST(ReuseSim, ClockIsExactBelowTheRingThreshold) {
-  const std::vector<std::uint64_t> windows{2, 16, 64};  // all <= threshold
-  const auto trace = mixed_trace(512, 9);
-  EXPECT_EQ(reuse_misses(ReuseSimMode::kReferenceLru, windows, trace),
-            reuse_misses(ReuseSimMode::kClock, windows, trace));
-}
-
-TEST(ReuseSim, ClockApproximationIsSaneAboveTheThreshold) {
-  const std::vector<std::uint64_t> windows{256, 1024};
-  const auto trace = mixed_trace(2048, 4);
-  std::uint64_t distinct = 0;
-  {
-    std::vector<bool> seen(4096, false);
-    for (const auto index : trace) {
-      if (!seen[index]) { seen[index] = true; ++distinct; }
-    }
-  }
-  const auto clock = reuse_misses(ReuseSimMode::kClock, windows, trace);
-  const auto exact = reuse_misses(ReuseSimMode::kExact, windows, trace);
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    // Compulsory misses bound any replacement policy from below...
-    EXPECT_GE(clock[i], static_cast<double>(distinct)) << "window " << windows[i];
-    // ...and the approximation must stay in the neighbourhood of exact LRU.
-    EXPECT_LE(clock[i], 1.5 * exact[i] + 1.0) << "window " << windows[i];
-  }
-}
-
-TEST(ReuseSim, ClockNeverEvictsAFittingWorkingSet) {
-  // A working set no larger than the window capacity: after the compulsory
-  // misses the clock must never miss again (nothing is ever evicted).
-  const std::vector<std::uint64_t> windows{256};
-  std::vector<std::uint64_t> trace;
-  for (int round = 0; round < 50; ++round) {
-    for (std::uint64_t i = 0; i < 200; ++i) trace.push_back((i * 7) % 200);
-  }
-  const auto clock = reuse_misses(ReuseSimMode::kClock, windows, trace);
-  EXPECT_DOUBLE_EQ(clock[0], 200.0);
 }
 
 TEST(Recorder, BuildValidatesAndIsRepeatable) {

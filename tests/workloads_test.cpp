@@ -123,23 +123,6 @@ TEST(Workloads, ExploreModelProfilesArePinned) {
   }
 }
 
-TEST(Workloads, RecorderOptionsReachTheProfiler) {
-  // The plumbing satellite: a sweep can pick the clock reuse approximation
-  // per design point.  Access counts stay identical, only the reuse miss
-  // estimates may move.
-  auto clocked = small_options();
-  clocked.recorder.reuse_sim = trace::ReuseSimMode::kClock;
-  clocked.recorder.exact_ring_capacity = 16;
-  for (const auto name : workload_names()) {
-    const auto* workload = find_workload(name);
-    const auto exact = workload->profile(small_options());
-    const auto clock = workload->profile(clocked);
-    EXPECT_DOUBLE_EQ(exact.total_accesses_per_frame(), clock.total_accesses_per_frame())
-        << name;
-    EXPECT_NO_THROW(clock.validate()) << name;
-  }
-}
-
 TEST(Workloads, BtpcCodecKnobsAreTraversalInvariant) {
   // BtpcCaseOptions no longer hard-codes CodecOptions: an odd tile height
   // must yield the same profile (tiling is bit- and profile-invariant).
