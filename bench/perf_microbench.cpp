@@ -590,12 +590,9 @@ void BM_ExploreMotion(benchmark::State& state) {
 }
 BENCHMARK(BM_ExploreMotion)->Unit(benchmark::kMillisecond);
 
-// The multi-workload exploration path: merge the registered workloads'
-// profiled models and sweep the shared memory organization across allocation
-// counts (profiles are built once outside the timed region).  Since the
-// roster grew to four workloads (btpc, hyperspec, line_buffer, motion) this
-// times the 4-workload merged model.
-void BM_ExploreMultiWorkload(benchmark::State& state) {
+/// Every registered workload's tuned model, profiled once at a 64-sample
+/// edge, labelled by workload name.
+const std::vector<std::pair<std::string, const ir::Application*>>& roster_models() {
   static const auto tuned = [] {
     std::vector<std::pair<std::string, ir::Application>> models;
     workloads::WorkloadOptions options;
@@ -607,8 +604,21 @@ void BM_ExploreMultiWorkload(benchmark::State& state) {
     }
     return models;
   }();
-  std::vector<std::pair<std::string, const ir::Application*>> apps;
-  for (const auto& [label, app] : tuned) apps.emplace_back(label, &app);
+  static const auto apps = [] {
+    std::vector<std::pair<std::string, const ir::Application*>> result;
+    for (const auto& [label, app] : tuned) result.emplace_back(label, &app);
+    return result;
+  }();
+  return apps;
+}
+
+// The multi-workload exploration path: merge the registered workloads'
+// profiled models and sweep the shared memory organization across allocation
+// counts (profiles are built once outside the timed region).  Since the
+// roster grew to four workloads (btpc, hyperspec, line_buffer, motion) this
+// times the 4-workload merged model.
+void BM_ExploreMultiWorkload(benchmark::State& state) {
+  const auto& apps = roster_models();
   core::Explorer explorer{memlib::MemoryLibrary{}};
   const std::vector<int> counts = {6, 10, 14};
   for (auto _ : state) {
@@ -617,6 +627,22 @@ void BM_ExploreMultiWorkload(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(counts.size()));
 }
 BENCHMARK(BM_ExploreMultiWorkload)->Unit(benchmark::kMillisecond);
+
+// One automatic-count `evaluate` of the roster's merged model: the allocator
+// solves every candidate memory count (annealing, the model has more groups
+// than the branch-and-bound limit) on `parallelism = N` workers.  Results are
+// bit-identical across N; compare `/1` vs `/4` real time.
+void BM_AutoCountEvaluate(benchmark::State& state) {
+  static const auto merged = core::merge_applications(roster_models(), "shared");
+  core::Explorer explorer{memlib::MemoryLibrary{}};
+  core::ExplorerOptions options;
+  options.parallelism = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(explorer.evaluate(merged, options));
+  }
+}
+BENCHMARK(BM_AutoCountEvaluate)->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // The persistence layer: APP1 serialize + hardened deserialize of a real
 // profiled model (what every cache store/load pays beyond the file I/O).

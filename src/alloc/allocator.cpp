@@ -1,11 +1,11 @@
 #include "alloc/allocator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <sstream>
 
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 
 namespace dtse::alloc {
 
@@ -92,22 +92,40 @@ AllocationResult MemoryAllocator::allocate(const ir::Application& app,
                                   options.frame_cycles);
 
   AssignmentSolution best;
-  best.scalar_cost = std::numeric_limits<double>::max();
   int best_n = 0;
   if (options.onchip_memories > 0) {
     best = solve_assignment(problem, options.onchip_memories, options.solver);
     best_n = options.onchip_memories;
   } else {
-    for (int n = problem.min_memories(); n <= options.max_onchip_memories; ++n) {
-      auto candidate = solve_assignment(problem, n, options.solver);
-      candidate.nodes_explored += best.nodes_explored;
-      if (candidate.feasible &&
-          (!best.feasible || candidate.scalar_cost < best.scalar_cost)) {
-        best_n = n;
-        std::swap(best, candidate);
-        best.nodes_explored += candidate.nodes_explored;
+    // The candidate counts are independent solves: each lands in its own
+    // slot, and the winner is picked by a serial scan in ascending count
+    // with strict improvement (ties resolve to the lowest count), so the
+    // result does not depend on how the solves were scheduled.  Fanned-out
+    // candidates run their annealing chains serially, which keeps the
+    // worker count at `parallelism` without changing any result.
+    const int first = problem.min_memories();
+    const auto candidates =
+        static_cast<std::size_t>(std::max(0, options.max_onchip_memories - first + 1));
+    auto candidate_options = options.solver;
+    if (candidates > 1 &&
+        support::effective_parallelism(options.solver.parallelism) > 1) {
+      candidate_options.parallelism = 1;
+    }
+    std::vector<AssignmentSolution> solutions(candidates);
+    support::parallel_for(candidates, options.solver.parallelism, [&](std::size_t i) {
+      solutions[i] =
+          solve_assignment(problem, first + static_cast<int>(i), candidate_options);
+    });
+    std::uint64_t nodes = 0;
+    for (std::size_t i = 0; i < candidates; ++i) {
+      nodes += solutions[i].nodes_explored;
+      if (solutions[i].feasible &&
+          (!best.feasible || solutions[i].scalar_cost < best.scalar_cost)) {
+        best_n = first + static_cast<int>(i);
+        best = std::move(solutions[i]);
       }
     }
+    best.nodes_explored = nodes;  // search effort of every candidate, winner or not
   }
 
   result.requested_memories = best_n;

@@ -46,6 +46,8 @@ struct AllocationResult {
   memlib::CostSummary summary;
   bool feasible = false;
   int requested_memories = 0;   ///< the N that was asked for
+  /// Search effort (B&B nodes / SA moves), summed over every candidate
+  /// count when the count is picked automatically.
   std::uint64_t search_nodes = 0;
   std::uint64_t accepted_moves = 0;  ///< SA only: kept moves across all chains
   std::uint64_t reheats = 0;         ///< SA only: temperature resets across chains

@@ -97,7 +97,7 @@ class BranchAndBound {
  private:
   void recurse(std::size_t depth, int used_memories) {
     ++nodes_;
-    // Coarse-stride cancellation poll: cheap against the build_memory work a
+    // Coarse-stride cancellation poll: cheap against the memory costing a
     // node does, fine-grained enough to stop within a few thousand nodes.
     if (cancelled_ ||
         (options_.cancel != nullptr && (nodes_ & 0x3FFu) == 0 &&
@@ -132,21 +132,23 @@ class BranchAndBound {
     for (int m = 0; m < try_limit; ++m) {
       auto& members = state_.members[static_cast<std::size_t>(m)];
       members.push_back(group);
-      const auto mem = problem_.build_memory(members);
-      if (mem) {
+      // The cost of the memory build_memory would build, without
+      // materializing it: no allocation per node.
+      const auto term = problem_.cost_of_members(members);
+      if (term) {
         const double old_area = state_.memory_area[static_cast<std::size_t>(m)];
         const double old_power = state_.memory_power[static_cast<std::size_t>(m)];
-        state_.memory_area[static_cast<std::size_t>(m)] = mem->cost.area_mm2;
-        state_.memory_power[static_cast<std::size_t>(m)] = mem->power_mw;
-        state_.area += mem->cost.area_mm2 - old_area;
-        state_.power += mem->power_mw - old_power;
+        state_.memory_area[static_cast<std::size_t>(m)] = term->area_mm2;
+        state_.memory_power[static_cast<std::size_t>(m)] = term->power_mw;
+        state_.area += term->area_mm2 - old_area;
+        state_.power += term->power_mw - old_power;
         assignment_[group] = m;
 
         recurse(depth + 1, std::max(used_memories, m + 1));
 
         assignment_[group] = -1;
-        state_.area -= mem->cost.area_mm2 - old_area;
-        state_.power -= mem->power_mw - old_power;
+        state_.area -= term->area_mm2 - old_area;
+        state_.power -= term->power_mw - old_power;
         state_.memory_area[static_cast<std::size_t>(m)] = old_area;
         state_.memory_power[static_cast<std::size_t>(m)] = old_power;
       }
@@ -394,7 +396,7 @@ AssignmentSolution solve_annealing(const AssignmentProblem& problem, int memory_
       std::clamp(options.sa_chains, 1, std::max(1, options.sa_iterations)));
   const int per_chain = options.sa_iterations / static_cast<int>(chains);
   std::vector<ChainOutcome> outcomes(chains);
-  support::parallel_for(chains, options.sa_parallelism, [&](std::size_t c) {
+  support::parallel_for(chains, options.parallelism, [&](std::size_t c) {
     outcomes[c] = anneal_chain(problem, memory_count, options, start.assignment, c, per_chain);
   });
 

@@ -69,7 +69,7 @@ struct SolverOptions {
   double sa_initial_temperature = 4.0;  ///< relative to the greedy cost
   /// Independent annealing chains with distinct RNG streams, each running
   /// sa_iterations / sa_chains moves; the best chain wins.  Deterministic
-  /// for a fixed (seed, sa_chains, sa_start) regardless of `sa_parallelism`.
+  /// for a fixed (seed, sa_chains, sa_start) regardless of `parallelism`.
   int sa_chains = 4;
   /// Chain start diversification (chain 0 always stays pure greedy).
   SaStart sa_start = SaStart::kPerturbedGreedy;
@@ -80,10 +80,13 @@ struct SolverOptions {
   /// trajectories to the pre-reheat solver).  Deterministic per (seed,
   /// chain): the stagnation counter consumes no randomness.
   int sa_reheat_stagnation = 0;
-  /// Worker threads for the chains (0 = hardware concurrency).  Defaults to
-  /// serial because the exploration sweeps already parallelize across sweep
-  /// points; only affects wall time, never the result.
-  unsigned sa_parallelism = 1;
+  /// Worker threads for one allocation's independent solves (0 = hardware
+  /// concurrency): the candidate memory counts when the allocator picks the
+  /// count itself, or else one annealing run's chains.  `Explorer::evaluate`
+  /// sets it from `ExplorerOptions::parallelism`; direct solver and
+  /// allocator calls default to serial.  Only affects wall time, never the
+  /// result.
+  unsigned parallelism = 1;
   /// When false, every move is re-costed from scratch — the reference
   /// baseline kept for the ablation/benchmark comparison.  Identical results
   /// either way (the incremental cost is bit-exact), only slower.
@@ -100,7 +103,7 @@ struct SolverOptions {
 /// One sampled point of an annealing chain's convergence trajectory.  The
 /// series is a pure function of (seed, chain, iterations): sampling happens
 /// at a fixed iteration stride, never on wall-clock, so traces are
-/// bit-identical across reruns and `sa_parallelism` settings.
+/// bit-identical across reruns and `parallelism` settings.
 struct ConvergenceSample {
   int iteration = 0;
   double temperature = 0.0;

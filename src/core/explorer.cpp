@@ -14,13 +14,13 @@ namespace dtse::core {
 namespace {
 
 /// When a sweep actually runs on multiple workers (more than one point AND
-/// more than one worker requested), run each point's annealing chains
-/// serially: the solver is deterministic regardless of `sa_parallelism`, so
-/// this only prevents thread oversubscription (sweep workers x chain
-/// workers) without changing any result.
+/// more than one worker requested), run each point's evaluation serially:
+/// the allocator is deterministic regardless of its `parallelism`, so this
+/// only prevents thread oversubscription (sweep workers x solve workers)
+/// without changing any result.
 ExplorerOptions without_nested_parallelism(ExplorerOptions options, std::size_t points) {
   if (points > 1 && support::effective_parallelism(options.parallelism) > 1) {
-    options.allocation.solver.sa_parallelism = 1;
+    options.parallelism = 1;
   }
   return options;
 }
@@ -152,6 +152,8 @@ Evaluation Explorer::evaluate(const ir::Application& app,
   // Power averages over the frame period set by the real-time constraint,
   // not over the (possibly tightened) storage budget.
   alloc_options.frame_cycles = options.real_time_budget_cycles;
+  // This call's workers go to the allocator's independent solves.
+  alloc_options.solver.parallelism = options.parallelism;
   // Plumb the cancellation source into the solvers (they poll it at coarse
   // strides and return their best-so-far when it fires).
   if (alloc_options.solver.cancel == nullptr) {

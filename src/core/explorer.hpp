@@ -36,10 +36,14 @@ struct ExplorerOptions {
   /// Cycles granted to memory accesses; tightening it below the real-time
   /// budget frees cycles for data-path scheduling (Section 4.5).
   std::uint64_t storage_budget_cycles = 20'000'000;
-  /// Worker threads for the explore_* sweeps.  Every `evaluate` call is a
-  /// pure function of (application, options), so the sweep points run
-  /// concurrently and land in index order — results are bit-identical to a
-  /// serial run.  0 = hardware concurrency, 1 = serial.
+  /// Worker threads for one `Explorer` call: its sweep points, or one
+  /// evaluation's independent solves (the allocator's candidate memory
+  /// counts, or one annealing run's chains; handed over as
+  /// `SolverOptions::parallelism`, which this overrides).  Every `evaluate`
+  /// call is a pure function of (application, options), so the work runs
+  /// concurrently and lands in index order — results are bit-identical to a
+  /// serial run.  A multi-worker sweep evaluates each point serially, so
+  /// workers never nest.  0 = hardware concurrency, 1 = serial.
   unsigned parallelism = 0;
   /// Wall-clock budget for one explore_* sweep in milliseconds (0 = none).
   /// When it expires, in-flight solver runs stop at their best-so-far and

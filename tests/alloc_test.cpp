@@ -429,6 +429,38 @@ TEST(Allocator, AutoPickFindsFeasibleCount) {
   EXPECT_FALSE(result.onchip.empty());
 }
 
+TEST(Allocator, AutoPickSearchNodesSumEveryCandidate) {
+  // B&B-sized and annealing-sized instances; the candidates fan out over
+  // four workers, the reference solves them one by one.
+  for (const int groups : {6, 20}) {
+    Fixture fix(groups, 2.0);
+    fix.conflicts.add_conflict(fix.groups[0], fix.groups[1], 1.0);
+    fix.conflicts.add_conflict(fix.groups[1], fix.groups[2], 1.0);
+    MemoryAllocator allocator{fix.library};
+    AllocationOptions options;
+    options.onchip_memories = 0;
+    options.solver.sa_iterations = 4000;
+    options.solver.parallelism = 4;
+    const auto result = allocator.allocate(fix.app, fix.conflicts, options);
+    ASSERT_TRUE(result.feasible);
+
+    const auto problem = fix.problem();
+    std::uint64_t nodes = 0;
+    int best_n = 0;
+    double best_cost = std::numeric_limits<double>::max();
+    for (int n = problem.min_memories(); n <= options.max_onchip_memories; ++n) {
+      const auto solution = solve_assignment(problem, n, options.solver);
+      nodes += solution.nodes_explored;
+      if (solution.feasible && solution.scalar_cost < best_cost) {
+        best_cost = solution.scalar_cost;
+        best_n = n;
+      }
+    }
+    EXPECT_EQ(result.search_nodes, nodes) << groups << " groups";
+    EXPECT_EQ(result.requested_memories, best_n) << groups << " groups";
+  }
+}
+
 TEST(Allocator, SweepCoversRequestedCounts) {
   Fixture fix(6);
   MemoryAllocator allocator{fix.library};

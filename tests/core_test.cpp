@@ -102,6 +102,90 @@ TEST(Explorer, ParallelSweepsMatchSerialBitForBit) {
   }
 }
 
+/// Bit-identity of two evaluations: cost triple, chosen count, the members
+/// of every on-chip memory, search effort and the annealing chains.
+void expect_identical(const Evaluation& a, const Evaluation& b) {
+  EXPECT_EQ(a.summary.onchip_area_mm2, b.summary.onchip_area_mm2);
+  EXPECT_EQ(a.summary.onchip_power_mw, b.summary.onchip_power_mw);
+  EXPECT_EQ(a.summary.offchip_power_mw, b.summary.offchip_power_mw);
+  EXPECT_EQ(a.feasible, b.feasible);
+  EXPECT_EQ(a.allocation.requested_memories, b.allocation.requested_memories);
+  EXPECT_EQ(a.allocation.search_nodes, b.allocation.search_nodes);
+  EXPECT_EQ(a.allocation.accepted_moves, b.allocation.accepted_moves);
+  ASSERT_EQ(a.allocation.onchip.size(), b.allocation.onchip.size());
+  for (std::size_t m = 0; m < a.allocation.onchip.size(); ++m) {
+    EXPECT_EQ(a.allocation.onchip[m].groups, b.allocation.onchip[m].groups)
+        << "memory " << m;
+  }
+  ASSERT_EQ(a.allocation.sa_chains.size(), b.allocation.sa_chains.size());
+  for (std::size_t c = 0; c < a.allocation.sa_chains.size(); ++c) {
+    const auto& x = a.allocation.sa_chains[c];
+    const auto& y = b.allocation.sa_chains[c];
+    EXPECT_EQ(x.moves, y.moves) << "chain " << c;
+    EXPECT_EQ(x.accepted, y.accepted) << "chain " << c;
+    EXPECT_EQ(x.start_cost, y.start_cost) << "chain " << c;
+    EXPECT_EQ(x.best_cost, y.best_cost) << "chain " << c;
+    EXPECT_EQ(x.convergence.size(), y.convergence.size()) << "chain " << c;
+  }
+}
+
+/// Automatic-count evaluation options at `parallelism` workers, with a short
+/// annealing budget so the merged model stays quick.
+ExplorerOptions auto_count_options(unsigned parallelism) {
+  ExplorerOptions options;
+  options.parallelism = parallelism;
+  options.allocation.onchip_memories = 0;
+  options.allocation.solver.sa_iterations = 20'000;
+  return options;
+}
+
+std::size_t onchip_groups(const ir::Application& app, const ExplorerOptions& options) {
+  const alloc::MemoryAllocator allocator{memlib::MemoryLibrary{}};
+  return allocator.partition_groups(app, options.allocation).first.size();
+}
+
+TEST(Explorer, AutoCountEvaluateIsIdenticalAtAnyParallelism) {
+  const auto explorer = make_explorer();
+  const auto merged =
+      merge_applications({{"a", &small_profile()}, {"b", &small_profile()}}, "merged");
+  const auto serial = auto_count_options(1);
+  const auto parallel = auto_count_options(4);
+  // One branch-and-bound-sized model and one the solver anneals.
+  const auto bb_limit = static_cast<std::size_t>(serial.allocation.solver.bb_group_limit);
+  ASSERT_LE(onchip_groups(small_profile(), serial), bb_limit);
+  ASSERT_GT(onchip_groups(merged, serial), bb_limit);
+  for (const auto* app : {&small_profile(), &merged}) {
+    SCOPED_TRACE(app->name());
+    const auto a = explorer.evaluate(*app, serial);
+    const auto b = explorer.evaluate(*app, parallel);
+    ASSERT_TRUE(a.feasible);
+    EXPECT_EQ(a.allocation.sa_chains.empty(), app == &small_profile());
+    expect_identical(a, b);
+  }
+}
+
+TEST(Explorer, SharedAttributionIsIdenticalAtAnyParallelism) {
+  const auto explorer = make_explorer();
+  const std::vector<std::pair<std::string, const ir::Application*>> apps = {
+      {"a", &small_profile()}, {"b", &small_profile()}};
+  const auto serial = explorer.evaluate_shared_per_workload(apps, auto_count_options(1));
+  const auto parallel =
+      explorer.evaluate_shared_per_workload(apps, auto_count_options(4));
+  expect_identical(serial.merged, parallel.merged);
+  ASSERT_EQ(serial.per_workload.size(), parallel.per_workload.size());
+  for (std::size_t i = 0; i < serial.per_workload.size(); ++i) {
+    const auto& x = serial.per_workload[i];
+    const auto& y = parallel.per_workload[i];
+    EXPECT_EQ(x.label, y.label);
+    EXPECT_EQ(x.cumulative.onchip_area_mm2, y.cumulative.onchip_area_mm2);
+    EXPECT_EQ(x.cumulative.onchip_power_mw, y.cumulative.onchip_power_mw);
+    EXPECT_EQ(x.cumulative.offchip_power_mw, y.cumulative.offchip_power_mw);
+    EXPECT_EQ(x.marginal.onchip_area_mm2, y.marginal.onchip_area_mm2);
+    EXPECT_EQ(x.marginal.onchip_power_mw, y.marginal.onchip_power_mw);
+    EXPECT_EQ(x.marginal.offchip_power_mw, y.marginal.offchip_power_mw);
+  }
+}
+
 TEST(Explorer, StorageBudgetCannotExceedRealTime) {
   const auto explorer = make_explorer();
   ExplorerOptions options;

@@ -230,11 +230,11 @@ TEST(Solvers, MultiChainIsDeterministicAcrossParallelism) {
   options.sa_chains = 3;
   options.seed = 11;
 
-  options.sa_parallelism = 1;
+  options.parallelism = 1;
   const auto reference = solve_assignment(problem, 4, options);
   ASSERT_TRUE(reference.feasible);
   for (const unsigned parallelism : {2u, 4u, 0u}) {
-    options.sa_parallelism = parallelism;
+    options.parallelism = parallelism;
     const auto run = solve_assignment(problem, 4, options);
     EXPECT_EQ(run.assignment, reference.assignment) << "parallelism " << parallelism;
     EXPECT_DOUBLE_EQ(run.scalar_cost, reference.scalar_cost);
@@ -289,7 +289,7 @@ TEST(Solvers, DiversifiedStartsAreDeterministicAndNeverLoseToGreedy) {
     EXPECT_EQ(a.assignment, b.assignment) << to_string(start);
     EXPECT_DOUBLE_EQ(a.scalar_cost, b.scalar_cost) << to_string(start);
     // ...at any parallelism...
-    options.sa_parallelism = 4;
+    options.parallelism = 4;
     const auto parallel = solve_assignment(problem, 4, options);
     EXPECT_EQ(parallel.assignment, a.assignment) << to_string(start);
     // ...and chain 0's pure greedy start keeps the best-of from regressing.

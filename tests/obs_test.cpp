@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "alloc/solvers.hpp"
+#include "core/explorer.hpp"
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
 #include "obs/telemetry.hpp"
@@ -222,7 +223,7 @@ alloc::AssignmentSolution solve_sample(unsigned parallelism, int reheat = 0) {
   options.seed = 7;
   options.sa_iterations = 4000;
   options.sa_chains = 4;
-  options.sa_parallelism = parallelism;
+  options.parallelism = parallelism;
   options.sa_reheat_stagnation = reheat;
   return alloc::solve_assignment(problem, 3, options);
 }
@@ -298,6 +299,56 @@ TEST(Determinism, ReportJsonIdenticalAcrossParallelismModuloTimings) {
     return os.str();
   };
   EXPECT_EQ(render(1), render(4));
+}
+
+TEST(Determinism, AutoCountEvaluateCountersIdenticalAcrossParallelism) {
+  // A branch-and-bound-sized and an annealing-sized model, one loop body per
+  // pair of groups so the conflict graph is sparse.
+  const auto make_app = [](int groups) {
+    ir::Application app("auto-count-" + std::to_string(groups));
+    std::vector<ir::BasicGroupId> ids;
+    for (int i = 0; i < groups; ++i) {
+      const auto id =
+          app.add_group({"g" + std::to_string(i), 256u << (i % 3), 4 + 4 * (i % 4)});
+      ids.push_back(id);
+    }
+    for (std::size_t i = 0; i + 1 < ids.size(); i += 2) {
+      ir::LoopBody body;
+      body.name = "loop" + std::to_string(i);
+      body.iterations = 10'000;
+      body.accesses.push_back({ids[i], ir::AccessKind::kRead, 1.0});
+      body.accesses.push_back({ids[i + 1], ir::AccessKind::kWrite, 1.0});
+      app.add_body(body);
+    }
+    return app;
+  };
+  const auto snapshot_at = [&](unsigned parallelism) {
+    auto& global = TelemetryRegistry::global();
+    global.reset();
+    const core::Explorer explorer{memlib::MemoryLibrary{}};
+    core::ExplorerOptions options;
+    options.parallelism = parallelism;
+    options.allocation.onchip_memories = 0;
+    options.allocation.solver.sa_iterations = 4000;
+    for (const int groups : {8, 24}) {
+      EXPECT_TRUE(explorer.evaluate(make_app(groups), options).feasible) << groups;
+    }
+    auto snapshot = global.snapshot();
+    global.reset();
+    return snapshot;
+  };
+  const auto serial = snapshot_at(1);
+  const auto parallel = snapshot_at(4);
+  EXPECT_EQ(serial.counters, parallel.counters);
+  ASSERT_EQ(serial.histograms.size(), parallel.histograms.size());
+  for (std::size_t i = 0; i < serial.histograms.size(); ++i) {
+    EXPECT_EQ(serial.histograms[i].name, parallel.histograms[i].name);
+    EXPECT_EQ(serial.histograms[i].count, parallel.histograms[i].count);
+    EXPECT_EQ(serial.histograms[i].sum, parallel.histograms[i].sum);
+  }
+  EXPECT_GT(serial.counter_or("solver.bb.runs"), 1u);
+  EXPECT_GT(serial.counter_or("solver.sa.runs"), 1u);
+  EXPECT_GT(serial.counter_or("parallel.tasks"), 0u);
 }
 
 TEST(Spans, BalancedUnderSolverCancellation) {
