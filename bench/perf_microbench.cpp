@@ -119,10 +119,18 @@ void BM_AssignmentBranchAndBound(benchmark::State& state) {
                                          20'000'000);
   alloc::SolverOptions options;
   options.solver = alloc::Solver::kBranchAndBound;
+  double final_cost = 0.0;
+  std::uint64_t nodes = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        alloc::solve_assignment(problem, static_cast<int>(state.range(0)), options));
+    const auto solution =
+        alloc::solve_assignment(problem, static_cast<int>(state.range(0)), options);
+    final_cost = solution.scalar_cost;
+    nodes = solution.nodes_explored;
   }
+  // Both are pure functions of the problem and the memory count, so
+  // compare_bench.py flags any drift between two trajectory points.
+  state.counters["final_cost"] = final_cost;
+  state.counters["nodes"] = static_cast<double>(nodes);
 }
 BENCHMARK(BM_AssignmentBranchAndBound)->Arg(5)->Arg(8)->Arg(12);
 
@@ -169,10 +177,10 @@ BENCHMARK(BM_AnnealingIncremental)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecon
 
 // Move rate as a function of the member-set size: a synthetic application
 // with Arg groups annealed into 4 memories (Arg/4 members each on average).
-// The incremental engine maintains per-memory conflict counts and re-costs a
-// move in O(members); the full-recost baseline pays the per-move clique scan
-// over every memory, so the items/s gap must WIDEN superlinearly with Arg at
-// bit-identical final_cost.
+// The incremental engine keeps per-memory member sets and re-costs a move in
+// O(conflict words), near flat in Arg; the full-recost baseline pays the
+// per-move clique scan and re-aggregation over every memory, so the items/s
+// gap must WIDEN with Arg at bit-identical final_cost.
 struct LargeMemberFixture {
   ir::Application app{"large"};
   std::vector<ir::BasicGroupId> groups;

@@ -21,7 +21,8 @@ cmake --build "$BUILD_DIR" -j --target perf_microbench
 # silently dropped them (filtered run, renamed bench) would let the nightly
 # compare gate pass on an empty intersection.  The *Scalar twins must be
 # present too — without both halves the scalar-vs-SIMD ratio in the
-# trajectory is unreadable.
+# trajectory is unreadable.  The solver benches carry the final_cost counters
+# compare_bench.py's drift check reads, so a renamed one would skip it.
 for bench in BM_MotionEstimate BM_MotionEstimateScalar \
              BM_ExploreMotion BM_ExploreMultiWorkload \
              BM_HyperspecEncode BM_HyperspecEncodeScalar BM_ProfiledFeedback256 \
@@ -29,7 +30,9 @@ for bench in BM_MotionEstimate BM_MotionEstimateScalar \
              BM_BitWriterThroughput BM_BitReaderThroughput \
              BM_EncodeLossless BM_EncodeLosslessScalar \
              BM_EntropyHuffman BM_EntropyRice BM_EntropyExpGolomb BM_EntropyRans \
-             BM_TelemetryOverhead; do
+             BM_TelemetryOverhead \
+             BM_AssignmentBranchAndBound BM_AnnealingIncremental BM_AnnealingFullRecost \
+             BM_AnnealingLargeMembers BM_AutoCountEvaluate; do
   if ! grep -q "\"$bench" "$OUT"; then
     echo "error: $OUT is missing $bench — incomplete trajectory point" >&2
     exit 1

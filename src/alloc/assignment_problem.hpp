@@ -66,18 +66,28 @@ class AssignmentProblem {
   /// members contain a conflict triangle or a conflicting pair with a
   /// self-conflicting endpoint, 2 iff any conflict or self-conflict exists,
   /// and 1 otherwise.  (An earlier revision grew greedy cliques from each
-  /// seed, which could miss a triangle and under-provision ports.)  Shared by
-  /// `build_memory` and the incremental cost engine so both cost paths agree
-  /// bit-for-bit.
+  /// seed, which could miss a triangle and under-provision ports.)  The
+  /// reference for `build_memory` and `cost_of_members`; the solvers' member
+  /// sets reach the same decision one insertion at a time.
   [[nodiscard]] int simultaneous_accesses(const std::vector<std::size_t>& members) const;
 
-  /// Area/power term of a member set whose port count the caller has already
-  /// established (`ports` in {1, 2}).  Runs the exact aggregation and model
-  /// calls of `cost_of_members` after its feasibility gate — the entry point
-  /// for the incremental cost engine, which maintains per-memory conflict
-  /// counts and therefore knows the port count in O(members).
-  [[nodiscard]] memlib::CostTerm member_cost_term(
-      const std::vector<std::size_t>& members, int ports) const;
+  /// A group's figures, cached at construction (the access totals walk every
+  /// loop body), or a member set's totals: sums, and the max width.
+  struct GroupAggregates {
+    std::uint64_t words = 0;
+    int width_bits = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+  };
+
+  /// Cached figures of group i (problem-local index).
+  [[nodiscard]] const GroupAggregates& group_aggregates(std::size_t i) const {
+    return aggregates_[i];
+  }
+
+  /// Area/power of a non-empty member set from its totals and its port count
+  /// (1 or 2): the model calls `build_memory` makes, for `MemberSet`.
+  [[nodiscard]] memlib::CostTerm price(const GroupAggregates& totals, int ports) const;
 
   // --- conflict bitsets (problem-local indices, 64 groups per word) --------
   /// Words per adjacency row; all bitsets below share this pitch.
@@ -98,10 +108,11 @@ class AssignmentProblem {
 
   /// Area/power contribution of a member set — the cost of the memory
   /// `build_memory` would build, without materializing the instance.  Both
-  /// run the same aggregation over the same cached per-group figures and the
-  /// same model calls, so the incremental cost engine (`AssignmentState`)
-  /// and a from-scratch `evaluate` agree bit-for-bit by construction.
-  /// nullopt when the set needs more than two ports.
+  /// run the same integer aggregation over the same cached per-group figures
+  /// and the same model calls, so the incremental member sets (whose integer
+  /// totals are exact in any order) and a from-scratch `evaluate` agree
+  /// bit-for-bit by construction.  nullopt when the set needs more than two
+  /// ports.  The reference path: solvers step through `MemberSet` instead.
   [[nodiscard]] std::optional<memlib::CostTerm> cost_of_members(
       const std::vector<std::size_t>& members) const;
 
@@ -114,14 +125,6 @@ class AssignmentProblem {
   [[nodiscard]] int min_memories() const;
 
  private:
-  /// Per-group figures cached at construction (the access totals walk every
-  /// loop body, far too slow to redo per candidate memory).
-  struct GroupAggregates {
-    std::uint64_t words = 0;
-    int width_bits = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-  };
   /// Sums of the members' cached figures, in member order.
   [[nodiscard]] GroupAggregates aggregate_members(
       const std::vector<std::size_t>& members) const;

@@ -7,23 +7,73 @@
 
 namespace dtse::alloc {
 
-namespace {
+MemberSet::MemberSet(const AssignmentProblem& problem)
+    : problem_(&problem), bits_(problem.conflict_words(), 0) {}
 
-void insert_sorted(std::vector<std::size_t>& members, std::size_t group) {
-  members.insert(std::lower_bound(members.begin(), members.end(), group), group);
+bool MemberSet::try_insert(std::size_t group) {
+  DTSE_DCHECK(!contains(group), "group already a member");
+  const std::uint64_t* row = problem_->conflict_row(group);
+  const std::uint64_t* self_bits = problem_->self_conflict_bits();
+  const bool self = (self_bits[group / 64] & bit_of(group)) != 0;
+  std::uint64_t degree = 0;
+  for (std::size_t w = 0; w < bits_.size(); ++w) {
+    const std::uint64_t neighbours = row[w] & bits_[w];
+    if (neighbours == 0) continue;
+    // A conflicting pair with a self-conflicting endpoint needs 3 ports.
+    if (self || (neighbours & self_bits[w]) != 0) return false;
+    degree += std::popcount(neighbours);
+    for (std::uint64_t scan = neighbours; scan != 0; scan &= scan - 1) {
+      const std::size_t v = w * 64 + static_cast<std::size_t>(std::countr_zero(scan));
+      // Triangle: a neighbour of the group that conflicts with another one.
+      const std::uint64_t* row_v = problem_->conflict_row(v);
+      for (std::size_t w2 = 0; w2 < bits_.size(); ++w2) {
+        if ((row_v[w2] & row[w2] & bits_[w2]) != 0) return false;
+      }
+    }
+  }
+  const auto& figures = problem_->group_aggregates(group);
+  bits_[group / 64] |= bit_of(group);
+  ++tally_.count;
+  tally_.pair_conflicts += degree;
+  tally_.self_conflicts += self ? 1 : 0;
+  tally_.totals.words += figures.words;
+  tally_.totals.width_bits = std::max(tally_.totals.width_bits, figures.width_bits);
+  tally_.totals.reads += figures.reads;
+  tally_.totals.writes += figures.writes;
+  return true;
 }
 
-void erase_sorted(std::vector<std::size_t>& members, std::size_t group) {
-  const auto it = std::lower_bound(members.begin(), members.end(), group);
-  DTSE_DCHECK(it != members.end() && *it == group, "group not a member");
-  members.erase(it);
+void MemberSet::erase(std::size_t group) {
+  DTSE_DCHECK(contains(group), "group not a member");
+  bits_[group / 64] &= ~bit_of(group);
+  const std::uint64_t* row = problem_->conflict_row(group);
+  std::uint64_t degree = 0;
+  for (std::size_t w = 0; w < bits_.size(); ++w) {
+    degree += std::popcount(row[w] & bits_[w]);
+  }
+  const auto& figures = problem_->group_aggregates(group);
+  --tally_.count;
+  tally_.pair_conflicts -= degree;
+  tally_.self_conflicts -= problem_->self_conflicting(group) ? 1 : 0;
+  tally_.totals.words -= figures.words;
+  tally_.totals.reads -= figures.reads;
+  tally_.totals.writes -= figures.writes;
+  if (figures.width_bits < tally_.totals.width_bits) return;
+  // The group may have held the max: re-derive it from the members left.
+  int& width = tally_.totals.width_bits;
+  width = 0;
+  for (std::size_t w = 0; w < bits_.size(); ++w) {
+    for (std::uint64_t scan = bits_[w]; scan != 0; scan &= scan - 1) {
+      const std::size_t m = w * 64 + static_cast<std::size_t>(std::countr_zero(scan));
+      width = std::max(width, problem_->group_aggregates(m).width_bits);
+    }
+  }
 }
 
-constexpr std::uint64_t bit_of(std::size_t group) {
-  return std::uint64_t{1} << (group % 64);
+void MemberSet::undo(std::size_t group, const Tally& saved) {
+  bits_[group / 64] ^= bit_of(group);
+  tally_ = saved;
 }
-
-}  // namespace
 
 AssignmentState::AssignmentState(const AssignmentProblem& problem, int memory_count,
                                  const memlib::CostWeights& weights, CostMode mode)
@@ -37,7 +87,7 @@ double AssignmentState::scalar_from_terms() const {
   // a from-scratch evaluation bit-for-bit.
   memlib::CostSummary summary;
   for (const auto& mem : memories_) {
-    if (mem.members.empty()) continue;
+    if (mem.set.empty()) continue;
     summary.onchip_area_mm2 += mem.term.area_mm2;
     summary.onchip_power_mw += mem.term.power_mw;
   }
@@ -52,7 +102,7 @@ memlib::CostTerm AssignmentState::onchip_total() const {
   }
   memlib::CostTerm total;
   for (const auto& mem : memories_) {
-    if (!mem.members.empty()) total += mem.term;
+    if (!mem.set.empty()) total += mem.term;
   }
   return total;
 }
@@ -69,72 +119,27 @@ bool AssignmentState::reset(const std::vector<int>& assignment) {
     return true;
   }
 
-  const std::size_t words = problem_->conflict_words();
-  scratch_.assign(words, 0);
-  memories_.assign(static_cast<std::size_t>(memory_count_), {});
-  // Pre-size the member lists so moves never reallocate mid-run.
-  for (auto& mem : memories_) {
-    mem.members.reserve(assignment_.size());
-    mem.bits.assign(words, 0);
-  }
+  std::vector<std::vector<std::size_t>> members(static_cast<std::size_t>(memory_count_));
   for (std::size_t i = 0; i < assignment_.size(); ++i) {
     DTSE_CHECK(assignment_[i] >= 0 && assignment_[i] < memory_count_,
                "assignment entry out of range");
-    auto& mem = memories_[static_cast<std::size_t>(assignment_[i])];
-    mem.members.push_back(i);
-    mem.bits[i / 64] |= bit_of(i);
+    members[static_cast<std::size_t>(assignment_[i])].push_back(i);
   }
-  const std::uint64_t* self_bits = problem_->self_conflict_bits();
-  for (auto& mem : memories_) {
-    // The feasibility gate stays with the exact reference computation; the
-    // maintained counts only ever describe sets that passed it.
-    const auto term = problem_->cost_of_members(mem.members);
+  memories_.assign(static_cast<std::size_t>(memory_count_),
+                   MemoryState{MemberSet(*problem_), {}});
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    // The exact reference computation gates feasibility, as in `evaluate`.
+    const auto term = problem_->cost_of_members(members[m]);
     if (!term) return false;
+    auto& mem = memories_[m];
     mem.term = *term;
-    std::uint64_t degree_sum = 0;
-    for (const auto m : mem.members) {
-      const std::uint64_t* row = problem_->conflict_row(m);
-      for (std::size_t w = 0; w < words; ++w) degree_sum += std::popcount(row[w] & mem.bits[w]);
-    }
-    mem.pair_conflicts = degree_sum / 2;  // each pair counted from both ends
-    mem.self_conflicts = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      mem.self_conflicts += std::popcount(self_bits[w] & mem.bits[w]);
+    for (const auto group : members[m]) {
+      const bool inserted = mem.set.try_insert(group);
+      DTSE_ASSERT(inserted, "a subset of a feasible memory is feasible");
     }
   }
   scalar_ = scalar_from_terms();
   return true;
-}
-
-std::uint64_t AssignmentState::neighbours_in(const MemoryState& mem, std::size_t group) {
-  const std::uint64_t* row = problem_->conflict_row(group);
-  std::uint64_t degree = 0;
-  for (std::size_t w = 0; w < scratch_.size(); ++w) {
-    scratch_[w] = row[w] & mem.bits[w];
-    degree += std::popcount(scratch_[w]);
-  }
-  return degree;
-}
-
-bool AssignmentState::scratch_insertion_infeasible(std::uint64_t degree,
-                                                  std::size_t group) const {
-  if (degree == 0) return false;  // no new pairs: port needs cannot grow past 2
-  if (problem_->self_conflicting(group)) return true;
-  const std::uint64_t* self_bits = problem_->self_conflict_bits();
-  for (std::size_t w = 0; w < scratch_.size(); ++w) {
-    if ((scratch_[w] & self_bits[w]) != 0) return true;
-    std::uint64_t scan = scratch_[w];
-    while (scan != 0) {
-      const std::size_t v = w * 64 + static_cast<std::size_t>(std::countr_zero(scan));
-      scan &= scan - 1;
-      // Triangle: a neighbour of the group that conflicts with another one.
-      const std::uint64_t* row_v = problem_->conflict_row(v);
-      for (std::size_t w2 = 0; w2 < scratch_.size(); ++w2) {
-        if ((row_v[w2] & scratch_[w2]) != 0) return true;
-      }
-    }
-  }
-  return false;
 }
 
 std::optional<double> AssignmentState::apply(std::size_t group, int new_m) {
@@ -151,34 +156,23 @@ std::optional<double> AssignmentState::apply(std::size_t group, int new_m) {
       last_.active = false;  // a failed move leaves nothing to revert
       return std::nullopt;
     }
-    last_ = {group, old_m, new_m, {}, {}, 0, 0, scalar_, true};
+    last_ = {group, old_m, new_m, {}, {}, {}, {}, scalar_, true};
     scalar_ = weights_.scalarize(*summary);
     return scalar_;
   }
 
   auto& src = memories_[static_cast<std::size_t>(old_m)];
   auto& dst = memories_[static_cast<std::size_t>(new_m)];
-  const std::uint64_t degree_dst = neighbours_in(dst, group);
-  if (scratch_insertion_infeasible(degree_dst, group)) {
+  const MemberSet::Tally dst_tally = dst.set.tally();
+  if (!dst.set.try_insert(group)) {
     last_.active = false;  // a failed move leaves nothing to revert
     return std::nullopt;
   }
-  const std::uint64_t degree_src = neighbours_in(src, group);
-  const bool self = problem_->self_conflicting(group);
-
-  insert_sorted(dst.members, group);
-  dst.bits[group / 64] |= bit_of(group);
-  dst.pair_conflicts += degree_dst;
-  dst.self_conflicts += self ? 1 : 0;
-  erase_sorted(src.members, group);
-  src.bits[group / 64] &= ~bit_of(group);
-  src.pair_conflicts -= degree_src;
-  src.self_conflicts -= self ? 1 : 0;
-
-  last_ = {group,      old_m,      new_m,   src.term, dst.term,
-           degree_src, degree_dst, scalar_, true};
-  src.term = problem_->member_cost_term(src.members, src.ports());
-  dst.term = problem_->member_cost_term(dst.members, dst.ports());
+  last_ = {group,           old_m,     new_m,   src.term, dst.term,
+           src.set.tally(), dst_tally, scalar_, true};
+  src.set.erase(group);
+  src.term = src.set.term();
+  dst.term = dst.set.term();
   assignment_[group] = new_m;
   scalar_ = scalar_from_terms();
   return scalar_;
@@ -191,17 +185,10 @@ void AssignmentState::revert() {
   scalar_ = last_.scalar;
   if (mode_ == CostMode::kFullRecost) return;
 
-  const bool self = problem_->self_conflicting(last_.group);
   auto& src = memories_[static_cast<std::size_t>(last_.from)];
   auto& dst = memories_[static_cast<std::size_t>(last_.to)];
-  erase_sorted(dst.members, last_.group);
-  dst.bits[last_.group / 64] &= ~bit_of(last_.group);
-  dst.pair_conflicts -= last_.degree_to;
-  dst.self_conflicts -= self ? 1 : 0;
-  insert_sorted(src.members, last_.group);
-  src.bits[last_.group / 64] |= bit_of(last_.group);
-  src.pair_conflicts += last_.degree_from;
-  src.self_conflicts += self ? 1 : 0;
+  dst.set.undo(last_.group, last_.to_tally);
+  src.set.undo(last_.group, last_.from_tally);
   src.term = last_.from_term;
   dst.term = last_.to_term;
 }

@@ -1,23 +1,21 @@
 // Incremental cost engine for the signal-to-memory assignment search.
 //
-// A simulated-annealing move reassigns ONE group, so only the source and
-// destination memories change; every other memory keeps its area and power.
-// `AssignmentState` caches one `memlib::CostTerm` per memory plus, per
-// memory, a member bitset and conflict/port counts (conflicting pairs and
-// self-conflicting members).  A live memory is feasible, so it holds no
-// conflict triangle and no conflicting pair with a self-conflicting
-// endpoint; its port count is then fully determined by the two counts
-// (any pair or self-conflict => dual-port), and a move re-costs its two
-// touched memories in O(members) — feasibility and count deltas come from
-// bitset intersections with the moved group's adjacency row, instead of the
-// O(members^2)-and-worse clique scan of `simultaneous_accesses`.
+// Every solver step places or removes ONE group, so only the memories it
+// touches change.  `MemberSet` keeps one memory's member bitset, member count,
+// running integer totals of the members' cached figures and conflict counts
+// (conflicting pairs, self-conflicting members).  A held set is feasible — no
+// conflict triangle, no conflicting pair with a self-conflicting endpoint —
+// so the two counts fix its port count (any conflict => dual-port), and a
+// step costs O(conflict words): bitset intersections with the group's
+// adjacency row instead of the clique scan of `simultaneous_accesses` and a
+// re-aggregation of every member.  Branch-and-bound and greedy step member
+// sets directly; annealing steps them through `AssignmentState`.
 //
 // Correctness anchor: after any move sequence, `scalar_cost()` equals a
 // from-scratch `CostWeights::scalarize(problem.evaluate(assignment))`
-// bit-for-bit.  This holds because the maintained port decision provably
-// matches `simultaneous_accesses` on feasible sets, the touched memories are
-// re-costed through the same `member_cost_term` aggregation `build_memory`
-// uses (same member order, same SRAM/power model calls), and the per-memory
+// bit-for-bit.  The port decision provably matches `simultaneous_accesses`
+// on feasible sets; integer totals are exact in any order, so the same
+// inputs reach the model calls `build_memory` makes; and the per-memory
 // terms are summed in memory-index order, mirroring `evaluate`.
 #pragma once
 
@@ -29,6 +27,58 @@
 #include "memlib/memory_cost.hpp"
 
 namespace dtse::alloc {
+
+/// One memory's feasible member set, grown and shrunk one group at a time;
+/// `term()` equals `cost_of_members` of the same members bit-for-bit.
+class MemberSet {
+ public:
+  /// Everything but the bitset; a step is undone by restoring it.
+  struct Tally {
+    AssignmentProblem::GroupAggregates totals;
+    std::size_t count = 0;
+    std::uint64_t pair_conflicts = 0;  ///< conflicting pairs inside the set
+    std::uint64_t self_conflicts = 0;  ///< self-conflicting members
+  };
+
+  /// An empty set over `problem`'s groups (the problem must outlive it).
+  explicit MemberSet(const AssignmentProblem& problem);
+
+  [[nodiscard]] bool empty() const { return tally_.count == 0; }
+  [[nodiscard]] bool contains(std::size_t group) const {
+    return (bits_[group / 64] & bit_of(group)) != 0;
+  }
+  [[nodiscard]] const Tally& tally() const { return tally_; }
+
+  /// Port count of the (feasible) set: 2 iff any conflict forces it.
+  [[nodiscard]] int ports() const {
+    return tally_.pair_conflicts > 0 || tally_.self_conflicts > 0 ? 2 : 1;
+  }
+
+  /// Adds a non-member and returns true, or returns false and leaves the set
+  /// unchanged when the group would need a third port (it is self-conflicting
+  /// and meets a conflict, meets a self-conflicting member, or closes a
+  /// conflict triangle).
+  [[nodiscard]] bool try_insert(std::size_t group);
+
+  /// Removes a member.
+  void erase(std::size_t group);
+
+  /// Undoes the most recent `try_insert` or `erase` of `group`, given the
+  /// tally saved before it.
+  void undo(std::size_t group, const Tally& saved);
+
+  /// Area/power of the set (zero when empty).
+  [[nodiscard]] memlib::CostTerm term() const {
+    return empty() ? memlib::CostTerm{} : problem_->price(tally_.totals, ports());
+  }
+
+ private:
+  static constexpr std::uint64_t bit_of(std::size_t g) { return 1ULL << (g % 64); }
+
+  const AssignmentProblem* problem_;
+  std::vector<std::uint64_t> bits_;  ///< conflict-bitset pitch
+  Tally tally_;
+};
 
 /// How `AssignmentState` re-costs a move.
 enum class CostMode {
@@ -71,17 +121,8 @@ class AssignmentState {
 
  private:
   struct MemoryState {
-    std::vector<std::size_t> members;  ///< ascending problem-local indices
-    std::vector<std::uint64_t> bits;   ///< the same members as a bitset
-    std::uint64_t pair_conflicts = 0;  ///< conflicting pairs inside the memory
-    std::uint64_t self_conflicts = 0;  ///< self-conflicting members
+    MemberSet set;
     memlib::CostTerm term;
-
-    /// Port count of a feasible member set (no triangles, no self-edges —
-    /// the only states this engine keeps): 2 iff any conflict forces it.
-    [[nodiscard]] int ports() const {
-      return pair_conflicts > 0 || self_conflicts > 0 ? 2 : 1;
-    }
   };
   struct LastMove {
     std::size_t group = 0;
@@ -89,8 +130,8 @@ class AssignmentState {
     int to = -1;
     memlib::CostTerm from_term;
     memlib::CostTerm to_term;
-    std::uint64_t degree_from = 0;  ///< group's conflict degree in the source
-    std::uint64_t degree_to = 0;    ///< and in the destination
+    MemberSet::Tally from_tally;
+    MemberSet::Tally to_tally;
     double scalar = 0.0;
     bool active = false;
   };
@@ -99,24 +140,12 @@ class AssignmentState {
   /// mirror `AssignmentProblem::evaluate` exactly.
   [[nodiscard]] double scalar_from_terms() const;
 
-  /// `group`'s conflict neighbours inside `mem`, written into `scratch_`
-  /// (returns the popcount).
-  std::uint64_t neighbours_in(const MemoryState& mem, std::size_t group);
-
-  /// True when adding `group` to the memory whose neighbour set sits in
-  /// `scratch_` (with popcount `degree`) would need a third port: the group
-  /// is self-conflicting and meets any conflict, conflicts with a
-  /// self-conflicting member, or closes a conflict triangle.
-  [[nodiscard]] bool scratch_insertion_infeasible(std::uint64_t degree,
-                                                 std::size_t group) const;
-
   const AssignmentProblem* problem_;
   memlib::CostWeights weights_;
   CostMode mode_;
   int memory_count_;
   std::vector<int> assignment_;
   std::vector<MemoryState> memories_;  ///< kIncremental only
-  std::vector<std::uint64_t> scratch_;  ///< one bitset row, reused per move
   double scalar_ = 0.0;
   LastMove last_;
 };

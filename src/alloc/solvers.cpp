@@ -43,20 +43,11 @@ std::vector<std::size_t> search_order(const AssignmentProblem& problem) {
 std::vector<double> ideal_power(const AssignmentProblem& problem) {
   std::vector<double> result(problem.group_count());
   for (std::size_t i = 0; i < problem.group_count(); ++i) {
-    const auto mem = problem.build_memory({i});
-    DTSE_ASSERT(mem.has_value(), "single group memory is always feasible");
-    result[i] = mem->power_mw;
+    const int ports = problem.self_conflicting(i) ? 2 : 1;
+    result[i] = problem.price(problem.group_aggregates(i), ports).power_mw;
   }
   return result;
 }
-
-struct SearchState {
-  std::vector<std::vector<std::size_t>> members;   ///< per memory
-  std::vector<double> memory_area;                 ///< per memory, mm^2
-  std::vector<double> memory_power;                ///< per memory, mW
-  double area = 0.0;
-  double power = 0.0;
-};
 
 class BranchAndBound {
  public:
@@ -75,9 +66,8 @@ class BranchAndBound {
   }
 
   AssignmentSolution run() {
-    state_.members.assign(static_cast<std::size_t>(memory_count_), {});
-    state_.memory_area.assign(static_cast<std::size_t>(memory_count_), 0.0);
-    state_.memory_power.assign(static_cast<std::size_t>(memory_count_), 0.0);
+    members_.assign(static_cast<std::size_t>(memory_count_), MemberSet(problem_));
+    terms_.assign(static_cast<std::size_t>(memory_count_), {});
     best_.scalar_cost = std::numeric_limits<double>::max();
     best_.feasible = false;
     assignment_.assign(problem_.group_count(), -1);
@@ -106,12 +96,12 @@ class BranchAndBound {
       return;
     }
     if (depth == order_.size()) {
-      const double scalar = options_.weights.area_weight * state_.area +
-                            options_.weights.power_weight * state_.power;
+      const double scalar = options_.weights.area_weight * area_ +
+                            options_.weights.power_weight * power_;
       if (scalar < best_.scalar_cost) {
         best_.scalar_cost = scalar;
         best_.assignment = assignment_;
-        best_.summary = {state_.area, state_.power, 0.0};
+        best_.summary = {area_, power_, 0.0};
         best_.feasible = true;
         ++incumbents_;
       }
@@ -119,8 +109,8 @@ class BranchAndBound {
     }
     // Admissible bound: committed cost plus the optimistic power of all
     // unplaced groups (their area is not bounded below except by 0).
-    const double bound = options_.weights.area_weight * state_.area +
-                         options_.weights.power_weight * (state_.power + remainder_[depth]);
+    const double bound = options_.weights.area_weight * area_ +
+                         options_.weights.power_weight * (power_ + remainder_[depth]);
     if (bound >= best_.scalar_cost) {
       ++pruned_;
       return;
@@ -130,29 +120,24 @@ class BranchAndBound {
     // Symmetry breaking: a group may open at most one new memory.
     const int try_limit = std::min(memory_count_, used_memories + 1);
     for (int m = 0; m < try_limit; ++m) {
-      auto& members = state_.members[static_cast<std::size_t>(m)];
-      members.push_back(group);
-      // The cost of the memory build_memory would build, without
-      // materializing it: no allocation per node.
-      const auto term = problem_.cost_of_members(members);
-      if (term) {
-        const double old_area = state_.memory_area[static_cast<std::size_t>(m)];
-        const double old_power = state_.memory_power[static_cast<std::size_t>(m)];
-        state_.memory_area[static_cast<std::size_t>(m)] = term->area_mm2;
-        state_.memory_power[static_cast<std::size_t>(m)] = term->power_mw;
-        state_.area += term->area_mm2 - old_area;
-        state_.power += term->power_mw - old_power;
-        assignment_[group] = m;
+      const auto slot = static_cast<std::size_t>(m);
+      auto& members = members_[slot];
+      const MemberSet::Tally saved = members.tally();
+      if (!members.try_insert(group)) continue;
+      const memlib::CostTerm old = terms_[slot];
+      const memlib::CostTerm term = members.term();
+      terms_[slot] = term;
+      area_ += term.area_mm2 - old.area_mm2;
+      power_ += term.power_mw - old.power_mw;
+      assignment_[group] = m;
 
-        recurse(depth + 1, std::max(used_memories, m + 1));
+      recurse(depth + 1, std::max(used_memories, m + 1));
 
-        assignment_[group] = -1;
-        state_.area -= term->area_mm2 - old_area;
-        state_.power -= term->power_mw - old_power;
-        state_.memory_area[static_cast<std::size_t>(m)] = old_area;
-        state_.memory_power[static_cast<std::size_t>(m)] = old_power;
-      }
-      members.pop_back();
+      assignment_[group] = -1;
+      area_ -= term.area_mm2 - old.area_mm2;
+      power_ -= term.power_mw - old.power_mw;
+      terms_[slot] = old;
+      members.undo(group, saved);
     }
   }
 
@@ -162,7 +147,10 @@ class BranchAndBound {
   std::vector<std::size_t> order_;
   std::vector<double> ideal_power_;
   std::vector<double> remainder_;
-  SearchState state_;
+  std::vector<MemberSet> members_;       ///< per memory, along the search path
+  std::vector<memlib::CostTerm> terms_;  ///< per memory
+  double area_ = 0.0;
+  double power_ = 0.0;
   std::vector<int> assignment_;
   AssignmentSolution best_;
   std::uint64_t nodes_ = 0;
@@ -175,9 +163,8 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem, int memory_cou
                                 const SolverOptions& options) {
   AssignmentSolution solution;
   solution.assignment.assign(problem.group_count(), -1);
-  std::vector<std::vector<std::size_t>> members(static_cast<std::size_t>(memory_count));
-  std::vector<double> mem_area(static_cast<std::size_t>(memory_count), 0.0);
-  std::vector<double> mem_power(static_cast<std::size_t>(memory_count), 0.0);
+  std::vector<MemberSet> members(static_cast<std::size_t>(memory_count),
+                                 MemberSet(problem));
   int used = 0;
   std::uint64_t evaluations = 0;
 
@@ -191,26 +178,21 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem, int memory_cou
     }
     int best_m = -1;
     double best_delta = std::numeric_limits<double>::max();
-    double best_area = 0.0;
-    double best_power = 0.0;
     const int try_limit = std::min(memory_count, used + 1);
     for (int m = 0; m < try_limit; ++m) {
       auto& mm = members[static_cast<std::size_t>(m)];
-      mm.push_back(group);
-      const auto mem = problem.build_memory(mm);
+      const MemberSet::Tally saved = mm.tally();
+      const memlib::CostTerm old_term = mm.term();
       ++evaluations;
-      mm.pop_back();
-      if (!mem) continue;
+      if (!mm.try_insert(group)) continue;
+      const memlib::CostTerm term = mm.term();
+      mm.undo(group, saved);
       const double delta =
-          options.weights.area_weight *
-              (mem->cost.area_mm2 - mem_area[static_cast<std::size_t>(m)]) +
-          options.weights.power_weight *
-              (mem->power_mw - mem_power[static_cast<std::size_t>(m)]);
+          options.weights.area_weight * (term.area_mm2 - old_term.area_mm2) +
+          options.weights.power_weight * (term.power_mw - old_term.power_mw);
       if (delta < best_delta) {
         best_delta = delta;
         best_m = m;
-        best_area = mem->cost.area_mm2;
-        best_power = mem->power_mw;
       }
     }
     if (best_m < 0) {
@@ -218,9 +200,8 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem, int memory_cou
       solution.nodes_explored = evaluations;
       return solution;  // no feasible placement with this memory count
     }
-    members[static_cast<std::size_t>(best_m)].push_back(group);
-    mem_area[static_cast<std::size_t>(best_m)] = best_area;
-    mem_power[static_cast<std::size_t>(best_m)] = best_power;
+    const bool placed = members[static_cast<std::size_t>(best_m)].try_insert(group);
+    DTSE_ASSERT(placed, "the chosen placement was feasible a moment ago");
     solution.assignment[group] = best_m;
     used = std::max(used, best_m + 1);
   }

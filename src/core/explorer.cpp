@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
@@ -85,6 +87,23 @@ double exact_increment(double target, double running) {
   return delta;
 }
 
+void check_budgets(const ExplorerOptions& options) {
+  DTSE_CHECK(options.storage_budget_cycles <= options.real_time_budget_cycles,
+             "storage budget cannot exceed the real-time budget");
+}
+
+void count_evaluation() {
+  obs::TelemetryRegistry::global().counter("explore.evaluations").add(1);
+}
+
+/// The SCBD step of `evaluate`: a function of the application, the storage
+/// budget and the SCBD options only, never of the allocation options.
+scbd::ScbdResult distribute(const ir::Application& app, const ExplorerOptions& options) {
+  auto scbd_options = options.scbd;
+  scbd_options.global_budget_cycles = options.storage_budget_cycles;
+  return scbd::distribute_budget(app, scbd_options);
+}
+
 }  // namespace
 
 ir::Application merge_applications(
@@ -139,14 +158,15 @@ std::string Evaluation::to_string() const {
 
 Evaluation Explorer::evaluate(const ir::Application& app,
                               const ExplorerOptions& options) const {
-  DTSE_CHECK(options.storage_budget_cycles <= options.real_time_budget_cycles,
-             "storage budget cannot exceed the real-time budget");
-  obs::TelemetryRegistry::global().counter("explore.evaluations").add(1);
-  Evaluation eval;
+  check_budgets(options);
+  count_evaluation();
+  return evaluate_with(app, distribute(app, options), options);
+}
 
-  auto scbd_options = options.scbd;
-  scbd_options.global_budget_cycles = options.storage_budget_cycles;
-  eval.scbd = scbd::distribute_budget(app, scbd_options);
+Evaluation Explorer::evaluate_with(const ir::Application& app, scbd::ScbdResult scbd,
+                                   const ExplorerOptions& options) const {
+  Evaluation eval;
+  eval.scbd = std::move(scbd);
 
   auto alloc_options = options.allocation;
   // Power averages over the frame period set by the real-time constraint,
@@ -317,6 +337,20 @@ std::vector<Variant> Explorer::explore_shared_allocation_counts(
 std::vector<Variant> Explorer::explore_allocation_counts(
     const ir::Application& app, const std::vector<int>& counts,
     const ExplorerOptions& options) const {
+  // SCBD does not depend on the memory count: distribute once and price
+  // every point from it.  A failure lands in every point with the error and
+  // the evaluation count the point's own `evaluate` would have produced.
+  bool counted = false;
+  std::optional<scbd::ScbdResult> distribution;
+  std::string failure;
+  try {
+    check_budgets(options);
+    counted = true;
+    distribution = distribute(app, options);
+  } catch (const std::exception& e) {
+    failure = e.what();
+  }
+
   std::vector<Variant> result(counts.size());
   support::CancellationToken deadline(options.cancel);
   if (options.time_budget_ms > 0) deadline.set_deadline_after_ms(options.time_budget_ms);
@@ -329,8 +363,11 @@ std::vector<Variant> Explorer::explore_allocation_counts(
     obs::Span span(&obs::TelemetryRegistry::global(),
                    "explore.alloc/" + app.name() + "/" + std::to_string(counts[i]),
                    "explore");
-    guarded_sweep_point(result[i].eval, deadline,
-                        [&] { result[i].eval = evaluate(app, count_options); });
+    guarded_sweep_point(result[i].eval, deadline, [&] {
+      if (counted) count_evaluation();
+      if (!distribution) throw std::runtime_error(failure);
+      result[i].eval = evaluate_with(app, *distribution, count_options);
+    });
     result[i].app = app;
   });
   return result;

@@ -181,6 +181,13 @@ class Explorer {
       const std::vector<int>& counts, const ExplorerOptions& options = {}) const;
 
  private:
+  /// `evaluate` after its budget check and SCBD step: allocates and prices
+  /// `app` on `scbd`, which must be the distribution `evaluate` would compute
+  /// for `options`.
+  [[nodiscard]] Evaluation evaluate_with(const ir::Application& app,
+                                         scbd::ScbdResult scbd,
+                                         const ExplorerOptions& options) const;
+
   memlib::MemoryLibrary library_;
   alloc::MemoryAllocator allocator_;
 };

@@ -2,12 +2,16 @@
 // allocation driver.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "alloc/allocator.hpp"
 #include "alloc/assignment_problem.hpp"
 #include "alloc/solvers.hpp"
+#include "core/btpc_case_study.hpp"
+#include "obs/telemetry.hpp"
+#include "scbd/budget_distribution.hpp"
 #include "support/check.hpp"
 
 namespace dtse::alloc {
@@ -354,6 +358,142 @@ TEST(Solvers, InfeasibleMemoryCountReported) {
   options.solver = Solver::kBranchAndBound;
   const auto solution = solve_assignment(problem, 1, options);
   EXPECT_FALSE(solution.feasible);
+}
+
+// --- search-shape pins -------------------------------------------------------
+
+/// The BTPC demonstrator's on-chip assignment problem, built the way
+/// `BM_AssignmentBranchAndBound` builds it (16 groups).
+const AssignmentProblem& btpc_demo_problem() {
+  static const ir::Application app = [] {
+    core::BtpcCaseOptions options;
+    options.profile_width = 128;
+    options.profile_height = 128;
+    return core::profile_btpc_demonstrator(options);
+  }();
+  static const memlib::MemoryLibrary library;
+  static const AssignmentProblem problem = [] {
+    const auto scbd_result = scbd::distribute_budget(app, {});
+    const MemoryAllocator allocator{library};
+    const auto partition = allocator.partition_groups(app, {});
+    return AssignmentProblem(app, partition.first, scbd_result.conflicts, library,
+                             20'000'000);
+  }();
+  return problem;
+}
+
+/// The fixture of tests/incremental_cost_test.cpp at 12 groups: every other
+/// group written, sparse pairwise conflicts and one self-conflict.
+const AssignmentProblem& incremental_fixture_problem() {
+  constexpr int kGroups = 12;
+  static const ir::Application app = [] {
+    ir::Application built{"inc"};
+    ir::LoopBody body;
+    body.name = "loop";
+    body.iterations = 100'000;
+    for (int i = 0; i < kGroups; ++i) {
+      const auto id = built.add_group(
+          {"g" + std::to_string(i), 256u << (i % 3), 4 + 4 * (i % 4), {}, 2});
+      body.accesses.push_back({id, ir::AccessKind::kRead, 2.0});
+      if (i % 2 == 0) body.accesses.push_back({id, ir::AccessKind::kWrite, 1.0});
+    }
+    built.add_body(body);
+    return built;
+  }();
+  static const memlib::MemoryLibrary library;
+  static const AssignmentProblem problem = [] {
+    const auto ids = app.group_ids();
+    const std::vector<ir::BasicGroupId> groups(ids.begin(), ids.end());
+    graph::ConflictGraph conflicts;
+    for (int i = 0; i < kGroups; ++i) {
+      for (int j = i + 1; j < kGroups; ++j) {
+        if ((i * 7 + j * 3) % 5 == 0) {
+          conflicts.add_conflict(groups[static_cast<std::size_t>(i)],
+                                 groups[static_cast<std::size_t>(j)], 1.0 + j);
+        }
+      }
+    }
+    conflicts.add_conflict(groups[0], groups[0], 2.0);
+    return AssignmentProblem(app, groups, conflicts, library, 20'000'000);
+  }();
+  return problem;
+}
+
+/// One recorded solve: what the solver returned and the search-shape
+/// counters it bumped.
+struct ShapePin {
+  bool btpc;  ///< the BTPC demo problem, else the incremental-cost fixture
+  Solver solver;
+  int memories;
+  std::vector<int> assignment;
+  std::uint64_t cost_bits;  ///< scalar_cost as raw IEEE-754 bits
+  std::uint64_t nodes;
+  std::uint64_t pruned;
+  std::uint64_t incumbents;
+  std::uint64_t greedy_evaluations;
+};
+
+// Branch-and-bound and greedy are exact, deterministic searches: a faster
+// node or placement pricing must not move their search by a single node.
+// The values were recorded before the solvers moved to incremental member
+// sets; any change here is a behaviour change, not a speed-up.
+TEST(Solvers, SearchShapeIsPinned) {
+  constexpr auto kBb = Solver::kBranchAndBound;
+  constexpr auto kGreedy = Solver::kGreedy;
+  const std::vector<ShapePin> pins = {
+      {true, kBb, 3, {0, 1, 1, 1, 2, 2, 1, 2, 2, 1, 1, 0, 2, 1, 2, 1},
+       0x4078495fad94e62eULL, 192, 87, 11, 0},
+      {true, kBb, 5, {0, 1, 2, 1, 3, 3, 2, 4, 3, 1, 1, 0, 4, 2, 4, 1},
+       0x406b2294b187caeeULL, 9844, 6707, 421, 0},
+      {true, kBb, 8, {0, 1, 2, 2, 6, 3, 5, 3, 3, 2, 2, 0, 7, 5, 4, 2},
+       0x40695cb3976a417cULL, 49435, 40241, 603, 0},
+      {true, kBb, 12, {0, 1, 2, 5, 6, 3, 2, 3, 3, 5, 5, 0, 8, 7, 4, 5},
+       0x406953fe39ab157eULL, 61173, 51041, 612, 0},
+      {true, kGreedy, 3, {0, 1, 2, 2, 2, 2, 1, 1, 2, 2, 2, 1, 0, 1, 1, 2},
+       0x4079b8a21e35fa84ULL, 45, 0, 0, 45},
+      {true, kGreedy, 5, {0, 1, 2, 2, 3, 3, 1, 4, 3, 2, 2, 0, 4, 1, 4, 2},
+       0x406bba5f112a3182ULL, 70, 0, 0, 70},
+      {true, kGreedy, 8, {0, 1, 2, 2, 5, 3, 1, 3, 3, 2, 2, 0, 7, 6, 4, 2},
+       0x406968feed41b946ULL, 95, 0, 0, 95},
+      {true, kGreedy, 12, {0, 1, 2, 2, 5, 3, 1, 3, 3, 2, 2, 0, 7, 6, 4, 2},
+       0x406968feed41b946ULL, 100, 0, 0, 100},
+      {false, kBb, 3, {2, 2, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0},
+       0x404c991f496336eeULL, 2255, 1240, 45, 0},
+      {false, kBb, 4, {3, 1, 2, 0, 3, 1, 2, 0, 1, 1, 2, 0},
+       0x4048bff95951c34aULL, 6237, 3888, 90, 0},
+      {false, kBb, 6, {3, 1, 2, 0, 4, 1, 2, 0, 4, 1, 2, 0},
+       0x4047f90370608650ULL, 12882, 9267, 91, 0},
+      {false, kGreedy, 3, {2, 1, 0, 1, 1, 1, 2, 1, 0, 0, 0, 0},
+       0x40503f792b4f79acULL, 33, 0, 0, 33},
+      {false, kGreedy, 4, {3, 1, 2, 0, 1, 1, 2, 0, 1, 2, 0, 0},
+       0x40495670937d0704ULL, 40, 0, 0, 40},
+      {false, kGreedy, 6, {3, 1, 2, 0, 4, 1, 2, 0, 4, 1, 0, 0},
+       0x4048717cfb40f7e0ULL, 48, 0, 0, 48},
+  };
+  auto& registry = obs::TelemetryRegistry::global();
+  const auto counter = [&registry](const char* name) {
+    return registry.counter(name).value();
+  };
+  for (const auto& pin : pins) {
+    const auto& problem = pin.btpc ? btpc_demo_problem() : incremental_fixture_problem();
+    SolverOptions options;
+    options.solver = pin.solver;
+    const auto pruned = counter("solver.bb.pruned");
+    const auto incumbents = counter("solver.bb.incumbents");
+    const auto evaluations = counter("solver.greedy.evaluations");
+    const auto solution = solve_assignment(problem, pin.memories, options);
+    const std::string where = std::string(pin.btpc ? "btpc " : "fixture ") +
+                              to_string(pin.solver) + " at " +
+                              std::to_string(pin.memories) + " memories";
+    ASSERT_TRUE(solution.feasible) << where;
+    EXPECT_EQ(solution.assignment, pin.assignment) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(solution.scalar_cost), pin.cost_bits) << where;
+    EXPECT_EQ(solution.nodes_explored, pin.nodes) << where;
+    EXPECT_EQ(counter("solver.bb.pruned") - pruned, pin.pruned) << where;
+    EXPECT_EQ(counter("solver.bb.incumbents") - incumbents, pin.incumbents) << where;
+    EXPECT_EQ(counter("solver.greedy.evaluations") - evaluations, pin.greedy_evaluations)
+        << where;
+  }
 }
 
 TEST(Solvers, EmptyProblemIsTriviallyFeasible) {

@@ -4,6 +4,7 @@
 
 #include "core/btpc_case_study.hpp"
 #include "core/explorer.hpp"
+#include "obs/telemetry.hpp"
 #include "structuring/structuring.hpp"
 #include "support/cancellation.hpp"
 #include "support/check.hpp"
@@ -212,6 +213,52 @@ TEST(Explorer, SweepSurvivesAThrowingPointAndReportsIt) {
   EXPECT_NE(points[1].eval.to_string().find("[ERROR]"), std::string::npos);
   EXPECT_TRUE(points[2].eval.error.empty());
   EXPECT_TRUE(points[2].eval.feasible);
+}
+
+TEST(Explorer, AllocationSweepPricesEveryCountFromOneScbdRun) {
+  // SCBD does not depend on the memory count, so the sweep distributes the
+  // budget once; every point must still equal its own `evaluate`, count as
+  // one evaluation, and carry the SCBD failure as that `evaluate` reports it.
+  const auto explorer = make_explorer();
+  auto& evaluations = obs::TelemetryRegistry::global().counter("explore.evaluations");
+  const std::vector<int> counts = {5, 8};
+
+  ExplorerOptions options;
+  auto before = evaluations.value();
+  const auto variants =
+      explorer.explore_allocation_counts(small_profile(), counts, options);
+  EXPECT_EQ(evaluations.value() - before, counts.size());
+  ASSERT_EQ(variants.size(), counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    auto point_options = options;
+    point_options.allocation.onchip_memories = counts[i];
+    const auto direct = explorer.evaluate(small_profile(), point_options);
+    EXPECT_EQ(variants[i].eval.summary.onchip_area_mm2, direct.summary.onchip_area_mm2);
+    EXPECT_EQ(variants[i].eval.summary.onchip_power_mw, direct.summary.onchip_power_mw);
+    EXPECT_EQ(variants[i].eval.summary.offchip_power_mw, direct.summary.offchip_power_mw);
+    EXPECT_EQ(variants[i].eval.scbd.used_cycles, direct.scbd.used_cycles);
+    EXPECT_EQ(variants[i].eval.spare_cycles, direct.spare_cycles);
+    EXPECT_EQ(variants[i].eval.feasible, direct.feasible);
+  }
+
+  ExplorerOptions failing;
+  failing.storage_budget_cycles = 0;  // passes the budget check, SCBD rejects it
+  std::string expected;
+  try {
+    (void)explorer.evaluate(small_profile(), failing);
+  } catch (const std::exception& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+  before = evaluations.value();
+  const auto failed =
+      explorer.explore_allocation_counts(small_profile(), counts, failing);
+  EXPECT_EQ(evaluations.value() - before, counts.size());
+  ASSERT_EQ(failed.size(), counts.size());
+  for (const auto& variant : failed) {
+    EXPECT_EQ(variant.eval.error, expected) << variant.label;
+    EXPECT_FALSE(variant.eval.feasible) << variant.label;
+  }
 }
 
 TEST(Explorer, PreCancelledSweepCompletesWithTimedOutPoints) {
