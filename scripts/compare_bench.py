@@ -6,10 +6,13 @@ Usage:
 
 Benchmarks are matched by name; a benchmark counts as regressed when its
 current real_time exceeds the baseline's by more than the threshold (after
-normalizing time units).  Benchmarks that report a `final_cost` counter (the
-bit-exactness anchor of the annealing benches) are additionally checked for
-*any* drift: the solvers are deterministic, so a changed final_cost is a
-correctness regression and fails the gate exactly like a perf regression.
+normalizing time units).  A benchmark run with repetitions is represented by
+its median aggregate, under its run name without the `/repeats:N` part, so
+it matches the same benchmark recorded without repetitions.  Benchmarks
+that report a `final_cost` counter (the bit-exactness anchor of the
+annealing benches) are additionally checked for *any* drift: the solvers
+are deterministic, so a changed final_cost is a correctness regression and
+fails the gate exactly like a perf regression.
 Benchmarks present on only one side are reported but never fail the
 comparison, so adding or retiring benchmarks does not break the nightly
 gate.  Exit status: 0 = no regression, 1 = at least one benchmark regressed
@@ -25,6 +28,7 @@ The nightly CI job runs this against the last *committed* bench/BENCH_*.json
 import argparse
 import json
 import math
+import re
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -36,8 +40,10 @@ def load_benchmarks(path):
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
         benchmarks = {}
+        medians = {}
         for entry in doc["benchmarks"]:
-            if entry.get("run_type") == "aggregate":
+            aggregate = entry.get("run_type") == "aggregate"
+            if aggregate and entry.get("aggregate_name") != "median":
                 continue
             unit = _UNIT_NS.get(entry.get("time_unit", "ns"))
             if unit is None:
@@ -45,7 +51,12 @@ def load_benchmarks(path):
             final_cost = entry.get("final_cost")
             if final_cost is not None:
                 final_cost = float(final_cost)
-            benchmarks[entry["name"]] = (float(entry["real_time"]) * unit, final_cost)
+            value = (float(entry["real_time"]) * unit, final_cost)
+            if aggregate:
+                medians[re.sub(r"/repeats:\d+", "", entry["run_name"])] = value
+            else:
+                benchmarks[entry["name"]] = value
+        benchmarks.update(medians)
         return benchmarks
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as error:
         print(f"error: cannot read benchmark JSON {path}: {error}", file=sys.stderr)

@@ -177,112 +177,6 @@ void btpc_predict_block_sse2(const BtpcRows& r, int xb, std::uint16_t* folded,
 }
 #endif  // DTSE_SIMD_SSE2
 
-#if DTSE_SIMD_AVX2
-/// 16-lane stride-2 gather (reads p[0..31]); the qword permute undoes the
-/// per-128-bit-lane interleave of the dword pack.
-DTSE_TARGET_AVX2 inline __m256i btpc_gather2_avx2(const std::uint16_t* p) {
-  const __m256i mask = _mm256_set1_epi32(0xFFFF);
-  const __m256i a = _mm256_and_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)), mask);
-  const __m256i b = _mm256_and_si256(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16)), mask);
-  return _mm256_permute4x64_epi64(_mm256_packs_epi32(a, b), 0xD8);
-}
-
-DTSE_TARGET_AVX2 inline __m256i btpc_div3_avx2(__m256i v) {
-  return _mm256_srli_epi16(
-      _mm256_mulhi_epu16(v, _mm256_set1_epi16(static_cast<short>(0xAAAB))), 1);
-}
-
-/// 16-lane AVX2 twin of btpc_predict_block_sse2 (identical arithmetic).
-/// Requires xb >= 2 and xb + 32 <= width - 1.
-DTSE_TARGET_AVX2
-void btpc_predict_block_avx2(const BtpcRows& r, int xb, std::uint16_t* folded,
-                             std::uint16_t* cls) {
-  __m256i n0, n1, n2, n3;
-  if (r.square) {
-    n0 = btpc_gather2_avx2(r.north + xb - 1);
-    n1 = btpc_gather2_avx2(r.north + xb + 1);
-    n2 = btpc_gather2_avx2(r.south + xb - 1);
-    n3 = btpc_gather2_avx2(r.south + xb + 1);
-  } else {
-    n0 = btpc_gather2_avx2(r.row + xb - 1);
-    n1 = btpc_gather2_avx2(r.row + xb + 1);
-    n2 = btpc_gather2_avx2(r.north + xb);
-    n3 = btpc_gather2_avx2(r.south + xb);
-  }
-  const __m256i s0 = _mm256_min_epi16(n0, n1);
-  const __m256i s1 = _mm256_max_epi16(n0, n1);
-  const __m256i s2 = _mm256_min_epi16(n2, n3);
-  const __m256i s3 = _mm256_max_epi16(n2, n3);
-  const __m256i t0 = _mm256_min_epi16(s0, s2);
-  const __m256i t2 = _mm256_max_epi16(s0, s2);
-  const __m256i t1 = _mm256_min_epi16(s1, s3);
-  const __m256i t3 = _mm256_max_epi16(s1, s3);
-  const __m256i u1 = _mm256_min_epi16(t1, t2);
-  const __m256i u2 = _mm256_max_epi16(t1, t2);
-  const __m256i range = _mm256_sub_epi16(t3, t0);
-  const __m256i low_gap = _mm256_sub_epi16(u1, t0);
-  const __m256i high_gap = _mm256_sub_epi16(t3, u2);
-  const __m256i core = _mm256_sub_epi16(u2, u1);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi16(1);
-  const __m256i eight = _mm256_set1_epi16(8);
-
-  const __m256i m_smooth = _mm256_cmpgt_epi16(_mm256_set1_epi16(3), range);
-  const __m256i m_rhigh = _mm256_cmpgt_epi16(
-      high_gap, _mm256_add_epi16(core, _mm256_add_epi16(low_gap, eight)));
-  const __m256i m_rlow = _mm256_cmpgt_epi16(
-      low_gap, _mm256_add_epi16(core, _mm256_add_epi16(high_gap, eight)));
-  const __m256i m_edge = _mm256_and_si256(
-      _mm256_cmpgt_epi16(range, _mm256_set1_epi16(32)),
-      _mm256_cmpgt_epi16(core, _mm256_add_epi16(low_gap, high_gap)));
-
-  const __m256i mid_sum = _mm256_add_epi16(u1, u2);
-  const __m256i v_smooth = _mm256_srli_epi16(
-      _mm256_add_epi16(_mm256_add_epi16(_mm256_add_epi16(t0, t3), mid_sum),
-                       _mm256_set1_epi16(2)),
-      2);
-  const __m256i v_rhigh =
-      btpc_div3_avx2(_mm256_add_epi16(_mm256_add_epi16(t0, mid_sum), one));
-  const __m256i v_rlow =
-      btpc_div3_avx2(_mm256_add_epi16(_mm256_add_epi16(mid_sum, t3), one));
-  const __m256i v_mid = _mm256_srli_epi16(_mm256_add_epi16(mid_sum, one), 1);
-
-  __m256i value = v_mid;
-  value = _mm256_blendv_epi8(value, v_rlow, m_rlow);
-  value = _mm256_blendv_epi8(value, v_rhigh, m_rhigh);
-  value = _mm256_blendv_epi8(value, v_smooth, m_smooth);
-
-  const __m256i k_textured =
-      _mm256_set1_epi16(static_cast<int>(PixelClass::kTextured));
-  const __m256i k_ridge = _mm256_set1_epi16(static_cast<int>(PixelClass::kRidge));
-  __m256i cls_v = k_textured;
-  cls_v = _mm256_blendv_epi8(
-      cls_v, _mm256_set1_epi16(static_cast<int>(PixelClass::kEdge)), m_edge);
-  cls_v = _mm256_blendv_epi8(cls_v, k_ridge, m_rlow);
-  cls_v = _mm256_blendv_epi8(cls_v, k_ridge, m_rhigh);
-
-  const __m256i west2 = btpc_gather2_avx2(r.row + xb - 2);
-  const __m256i north2 = btpc_gather2_avx2(r.north2 + xb);
-  const __m256i act =
-      _mm256_add_epi16(_mm256_abs_epi16(_mm256_sub_epi16(west2, value)),
-                       _mm256_abs_epi16(_mm256_sub_epi16(north2, value)));
-  const __m256i smooth_cls = _mm256_blendv_epi8(
-      _mm256_set1_epi16(static_cast<int>(PixelClass::kSmooth)), k_textured,
-      _mm256_cmpgt_epi16(act, _mm256_set1_epi16(24)));
-  cls_v = _mm256_blendv_epi8(cls_v, smooth_cls, m_smooth);
-
-  const __m256i actual = btpc_gather2_avx2(r.row + xb);
-  const __m256i e = _mm256_sub_epi16(actual, value);
-  const __m256i abs_e = _mm256_abs_epi16(e);
-  const __m256i neg = _mm256_cmpgt_epi16(zero, e);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(folded),
-                      _mm256_add_epi16(_mm256_slli_epi16(abs_e, 1), neg));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(cls), cls_v);
-}
-#endif  // DTSE_SIMD_AVX2
-
 }  // namespace
 
 Encoder::Encoder(int width, int height)
@@ -479,8 +373,8 @@ void Encoder::predict_pass_simd(const LevelSpec& level, const CodecOptions& opti
   const bool square = level.phase == Phase::kSquare;
   const int y_stop = std::min(y_end, h);
 
-  alignas(32) std::uint16_t folded[16];
-  alignas(32) std::uint16_t cls[16];
+  alignas(16) std::uint16_t folded[8];
+  alignas(16) std::uint16_t cls[8];
 
   const auto process_row = [&](int y, int x_start) {
     // Rows without a full causal context (y-2 .. y+1 in range) stay scalar,
@@ -496,16 +390,6 @@ void Encoder::predict_pass_simd(const LevelSpec& level, const CodecOptions& opti
       for (; x < std::min(x_start + 2, w); x += 2) {
         predict_point(Point{x, y}, level, options);
       }
-#if DTSE_SIMD_AVX2
-      if (simd_ == support::SimdMode::kAvx2) {
-        for (; x + 32 <= w - 1; x += 32) {
-          btpc_predict_block_avx2(rows, x, folded, cls);
-          for (int i = 0; i < 16; ++i) {
-            finalize_point(Point{x + 2 * i, y}, folded[i], cls[i]);
-          }
-        }
-      }
-#endif
       for (; x + 16 <= w - 1; x += 16) {
         btpc_predict_block_sse2(rows, x, folded, cls);
         for (int i = 0; i < 8; ++i) {

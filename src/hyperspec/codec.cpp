@@ -183,67 +183,6 @@ int hs_map_row_sse2(const HsRows& r, std::uint16_t* out, int x0, int n, int maxv
 }
 #endif  // DTSE_SIMD_SSE2
 
-#if DTSE_SIMD_AVX2
-// A lambda would not inherit the enclosing function's target attribute, so
-// the widening load lives at file scope with its own.
-DTSE_TARGET_AVX2 inline __m256i hs_load8_i32(const std::uint16_t* p) {
-  return _mm256_cvtepu16_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
-
-/// 8-lane AVX2 twin of hs_map_row_sse2 (identical arithmetic, wider lanes).
-DTSE_TARGET_AVX2
-int hs_map_row_avx2(const HsRows& r, std::uint16_t* out, int x0, int n, int maxval,
-                    int* sample_max) {
-  const __m256i vmax = _mm256_set1_epi32(maxval);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i two = _mm256_set1_epi32(2);
-  __m256i smax = zero;
-  int x = x0;
-  const int end = x0 + (n & ~7);
-  for (; x < end; x += 8) {
-    const __m256i sample = hs_load8_i32(r.curr + x);
-    const __m256i ls = _mm256_add_epi32(
-        _mm256_add_epi32(hs_load8_i32(r.curr + x - 1), hs_load8_i32(r.north + x - 1)),
-        _mm256_add_epi32(hs_load8_i32(r.north + x), hs_load8_i32(r.north + x + 1)));
-    __m256i pred;
-    if (r.prev != nullptr) {
-      const __m256i lsp = _mm256_add_epi32(
-          _mm256_add_epi32(hs_load8_i32(r.prev + x - 1), hs_load8_i32(r.prev_north + x - 1)),
-          _mm256_add_epi32(hs_load8_i32(r.prev_north + x), hs_load8_i32(r.prev_north + x + 1)));
-      const __m256i colo = hs_load8_i32(r.prev + x);
-      pred = _mm256_add_epi32(
-          colo,
-          _mm256_srai_epi32(_mm256_add_epi32(_mm256_sub_epi32(ls, lsp), two), 2));
-    } else {
-      pred = _mm256_srai_epi32(_mm256_add_epi32(ls, two), 2);
-    }
-    pred = _mm256_min_epi32(_mm256_max_epi32(pred, zero), vmax);
-    const __m256i delta = _mm256_sub_epi32(sample, pred);
-    const __m256i theta = _mm256_min_epi32(pred, _mm256_sub_epi32(vmax, pred));
-    const __m256i absd = _mm256_abs_epi32(delta);
-    const __m256i neg = _mm256_cmpgt_epi32(zero, delta);
-    const __m256i out_of_band = _mm256_cmpgt_epi32(absd, theta);
-    const __m256i in_band = _mm256_add_epi32(_mm256_slli_epi32(absd, 1), neg);
-    const __m256i tail = _mm256_add_epi32(theta, absd);
-    const __m256i mapped = _mm256_blendv_epi8(in_band, tail, out_of_band);
-    smax = _mm256_max_epi32(smax, sample);
-    // packus interleaves the two 128-bit lanes; the qword permute restores
-    // element order before the low half is stored.
-    const __m256i packed = _mm256_permute4x64_epi64(
-        _mm256_packus_epi32(mapped, mapped), 0xD8);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x),
-                     _mm256_castsi256_si128(packed));
-  }
-  alignas(32) int lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), smax);
-  int best = 0;
-  for (const int lane : lanes) best = std::max(best, lane);
-  *sample_max = best;
-  return x - x0;
-}
-#endif  // DTSE_SIMD_AVX2
-
 /// Fills zeroed declared-geometry fields from the profiled shape.  Runs
 /// before the instrumented members are constructed, so it also carries the
 /// geometry validation for the delegating constructor.
@@ -469,14 +408,7 @@ void Encoder::predict_band_simd(int z, int maxval) {
                         prev != nullptr ? prev + row : nullptr,
                         prev != nullptr ? prev + row - width : nullptr};
       int sample_max = 0;
-#if DTSE_SIMD_AVX2
-      if (simd_ == support::SimdMode::kAvx2) {
-        consumed = hs_map_row_avx2(rows, res + row, 1, n, maxval, &sample_max);
-      } else
-#endif
-      {
-        consumed = hs_map_row_sse2(rows, res + row, 1, n, maxval, &sample_max);
-      }
+      consumed = hs_map_row_sse2(rows, res + row, 1, n, maxval, &sample_max);
       DTSE_CHECK(sample_max <= maxval,
                  "cube sample exceeds the declared dynamic range");
     }

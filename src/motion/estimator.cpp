@@ -50,39 +50,6 @@ std::uint32_t sad_block_sse2(const std::uint16_t* cur, const std::uint16_t* ref,
 }
 #endif
 
-#if DTSE_SIMD_AVX2
-DTSE_TARGET_AVX2
-std::uint32_t sad_block_avx2(const std::uint16_t* cur, const std::uint16_t* ref,
-                             int bs, int ref_stride) {
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  std::uint32_t tail = 0;
-  for (int y = 0; y < bs; ++y) {
-    const std::uint16_t* c = cur + static_cast<std::size_t>(y) * bs;
-    const std::uint16_t* r = ref + static_cast<std::size_t>(y) * ref_stride;
-    int x = 0;
-    for (; x + 16 <= bs; x += 16) {
-      const __m256i a =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + x));
-      const __m256i b =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + x));
-      const __m256i diff =
-          _mm256_or_si256(_mm256_subs_epu16(a, b), _mm256_subs_epu16(b, a));
-      acc = _mm256_add_epi32(acc, _mm256_unpacklo_epi16(diff, zero));
-      acc = _mm256_add_epi32(acc, _mm256_unpackhi_epi16(diff, zero));
-    }
-    for (; x < bs; ++x) {
-      tail += static_cast<std::uint32_t>(std::abs(int{c[x]} - int{r[x]}));
-    }
-  }
-  __m128i lo = _mm256_castsi256_si128(acc);
-  lo = _mm_add_epi32(lo, _mm256_extracti128_si256(acc, 1));
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(1, 0, 3, 2)));
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(2, 3, 0, 1)));
-  return static_cast<std::uint32_t>(_mm_cvtsi128_si32(lo)) + tail;
-}
-#endif
-
 void check_options(const MotionOptions& options) {
   DTSE_CHECK(options.block_size >= 4 && options.block_size <= 64,
              "block size out of range");
@@ -295,15 +262,7 @@ std::uint32_t Estimator::candidate_sad(int bx, int by, int dx, int dy, int win_x
     const std::uint16_t* cur = cur_block_.raw().data();
     const std::uint16_t* ref = ref_window_.raw().data() +
                                static_cast<std::size_t>(ry) * stride + rx;
-    std::uint32_t vsad;
-#if DTSE_SIMD_AVX2
-    if (simd_ == support::SimdMode::kAvx2 && bs >= 16) {
-      vsad = sad_block_avx2(cur, ref, bs, stride);
-    } else
-#endif
-    {
-      vsad = sad_block_sse2(cur, ref, bs, stride);
-    }
+    const std::uint32_t vsad = sad_block_sse2(cur, ref, bs, stride);
     sad_accum_.write(0, vsad);
     return vsad;
   }

@@ -17,7 +17,6 @@ core::BtpcCaseOptions case_options(const btpc::CodecOptions& codec,
   result.image_seed = options.seed;
   result.codec = codec;
   if (options.entropy_backend) result.codec.backend = *options.entropy_backend;
-  result.codec.simd = options.simd;
   return result;
 }
 

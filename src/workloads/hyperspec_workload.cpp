@@ -37,7 +37,6 @@ hyperspec::CubeShape HyperspecWorkload::profile_shape(const WorkloadOptions& opt
 ir::Application HyperspecWorkload::profile(const WorkloadOptions& options) const {
   auto codec = codec_;
   if (options.entropy_backend) codec.backend = *options.entropy_backend;
-  codec.simd = options.simd;
   const auto cube = hyperspec::make_synthetic_cube(profile_shape(options), options.seed,
                                                    codec.dynamic_range_bits);
   return hyperspec::profile_hyperspec(cube, declared_, codec);
@@ -46,7 +45,6 @@ ir::Application HyperspecWorkload::profile(const WorkloadOptions& options) const
 VerifyReport HyperspecWorkload::verify(const WorkloadOptions& options) const {
   auto codec = codec_;
   if (options.entropy_backend) codec.backend = *options.entropy_backend;
-  codec.simd = options.simd;
   const auto shape = profile_shape(options);
   const auto cube =
       hyperspec::make_synthetic_cube(shape, options.seed, codec.dynamic_range_bits);

@@ -369,9 +369,9 @@ TEST(SimdMode, EnvVariableSteersAutoButExplicitRequestsWin) {
   std::optional<std::string> saved;
   if (const char* prev = std::getenv(kVar)) saved = prev;
 
-  ::setenv(kVar, "avx2", 1);
+  ::setenv(kVar, "sse2", 1);
   const SimdMode explicit_scalar = resolve_simd_mode(SimdMode::kScalar);
-  const SimdMode auto_under_avx2 = resolve_simd_mode(SimdMode::kAuto);
+  const SimdMode auto_under_sse2 = resolve_simd_mode(SimdMode::kAuto);
   ::setenv(kVar, "scalar", 1);
   const SimdMode auto_under_scalar = resolve_simd_mode(SimdMode::kAuto);
   const SimdMode explicit_widest = resolve_simd_mode(widest_simd_mode());
@@ -383,9 +383,9 @@ TEST(SimdMode, EnvVariableSteersAutoButExplicitRequestsWin) {
 
   EXPECT_EQ(explicit_scalar, SimdMode::kScalar);
   EXPECT_EQ(explicit_widest, widest_simd_mode());
-  // kAuto follows the variable, degrading like an explicit avx2 request on
-  // a host or build without AVX2.
-  EXPECT_EQ(auto_under_avx2, resolve_simd_mode(SimdMode::kAvx2));
+  // kAuto follows the variable, degrading like an explicit sse2 request on
+  // a build without the vector tier.
+  EXPECT_EQ(auto_under_sse2, resolve_simd_mode(SimdMode::kSse2));
   EXPECT_EQ(auto_under_scalar, SimdMode::kScalar);
 }
 
