@@ -620,6 +620,24 @@ const std::vector<std::pair<std::string, const ir::Application*>>& roster_models
   return apps;
 }
 
+// SCBD of the roster's merged model at a share (percent) of the default
+// real-time budget, the shares explore's budget sweep and feedbench's point
+// queries ask for.  `BM_ScbdDistribution` times a one-kernel model; this is
+// the layer's workload-shaped traffic: four kernels' bodies, each priced
+// over its whole cost curve.
+void BM_ScbdDistributionMerged(benchmark::State& state) {
+  static const auto merged = core::merge_applications(roster_models(), "shared");
+  const core::ExplorerOptions explorer;
+  auto options = explorer.scbd;
+  options.global_budget_cycles =
+      explorer.real_time_budget_cycles * static_cast<std::uint64_t>(state.range(0)) / 100;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scbd::distribute_budget(merged, options));
+  }
+}
+BENCHMARK(BM_ScbdDistributionMerged)->Arg(100)->Arg(75)->Arg(58)
+    ->Unit(benchmark::kMillisecond);
+
 // The multi-workload exploration path: merge the registered workloads'
 // profiled models and sweep the shared memory organization across allocation
 // counts (profiles are built once outside the timed region).  Since the

@@ -32,7 +32,7 @@ for bench in BM_MotionEstimate BM_MotionEstimateScalar \
              BM_EntropyHuffman BM_EntropyRice BM_EntropyExpGolomb BM_EntropyRans \
              BM_TelemetryOverhead \
              BM_AssignmentBranchAndBound BM_AnnealingIncremental BM_AnnealingFullRecost \
-             BM_AnnealingLargeMembers BM_AutoCountEvaluate; do
+             BM_AnnealingLargeMembers BM_AutoCountEvaluate BM_ScbdDistributionMerged; do
   if ! grep -q "\"$bench" "$OUT"; then
     echo "error: $OUT is missing $bench — incomplete trajectory point" >&2
     exit 1

@@ -278,6 +278,12 @@ std::string SharedEvaluation::to_string() const {
 SharedEvaluation Explorer::evaluate_shared_per_workload(
     const std::vector<std::pair<std::string, const ir::Application*>>& apps,
     const ExplorerOptions& options) const {
+  // The span covers the merged evaluate too: it is the attribution's
+  // largest step.
+  obs::Span span(&obs::TelemetryRegistry::global(), "explore.shared_attribution",
+                 "explore");
+  span.arg("workloads", static_cast<double>(apps.size()));
+
   const auto merged = merge_applications(apps, "shared");
   // merge_applications appends each workload's groups as one consecutive id
   // block, so prefix i of the workload list owns group ids [0, boundary[i]).
@@ -291,10 +297,6 @@ SharedEvaluation Explorer::evaluate_shared_per_workload(
 
   SharedEvaluation result;
   result.merged = evaluate(merged, options);
-
-  obs::Span span(&obs::TelemetryRegistry::global(), "explore.shared_attribution",
-                 "explore");
-  span.arg("workloads", static_cast<double>(apps.size()));
 
   // The same assignment problem the allocator priced the winning assignment
   // on: same on-chip partition, same conflict graph, same frame cycles

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/telemetry.hpp"
 #include "support/check.hpp"
 
 namespace dtse::scbd {
@@ -28,15 +29,13 @@ struct CostCurve {
   }
 };
 
-CostCurve build_curve(const ir::Application& app, ir::LoopBodyId body,
-                      const ScbdOptions& options) {
+CostCurve build_curve(const BodyScheduler& scheduler) {
   CostCurve curve;
-  curve.min_budget = min_body_budget(app, body, options.latency);
-  const auto serial = std::max<std::uint64_t>(serial_body_budget(app, body),
+  curve.min_budget = scheduler.min_budget();
+  const auto serial = std::max<std::uint64_t>(scheduler.serial_budget(),
                                               std::max<std::uint64_t>(curve.min_budget, 1));
   for (std::uint64_t b = std::max<std::uint64_t>(curve.min_budget, 1); b <= serial; ++b) {
-    const auto result = balance_body(app, body, b, options.latency, options.penalties);
-    curve.cost.push_back(result.conflict_cost);
+    curve.cost.push_back(scheduler.conflict_cost(b));
   }
   if (curve.min_budget == 0) curve.min_budget = 1;  // empty bodies schedule in 1 cycle
   if (curve.cost.empty()) curve.cost.push_back(0.0);
@@ -48,10 +47,25 @@ CostCurve build_curve(const ir::Application& app, ir::LoopBodyId body,
 ScbdResult distribute_budget(const ir::Application& app, const ScbdOptions& options) {
   DTSE_CHECK(options.global_budget_cycles > 0, "global cycle budget must be positive");
 
+  auto& registry = obs::TelemetryRegistry::global();
+  obs::Span span(&registry, "scbd.distribute", "scbd");
+
+  // Each body's budget-independent state is built once: its cost curve and
+  // its final schedule are balanced from the same scheduler.
   const auto body_ids = app.body_ids();
+  std::vector<BodyScheduler> schedulers;
+  schedulers.reserve(body_ids.size());
   std::vector<CostCurve> curves;
   curves.reserve(body_ids.size());
-  for (const auto id : body_ids) curves.push_back(build_curve(app, id, options));
+  std::uint64_t curve_points = 0;
+  for (const auto id : body_ids) {
+    schedulers.emplace_back(app, id, options.latency, options.penalties);
+    curves.push_back(build_curve(schedulers.back()));
+    curve_points += curves.back().cost.size();
+  }
+  registry.counter("scbd.calls").add(1);
+  registry.counter("scbd.bodies").add(body_ids.size());
+  registry.counter("scbd.curve_points").add(curve_points);
 
   ScbdResult result;
   // Start every body at its minimum; track global usage.
@@ -101,8 +115,7 @@ ScbdResult distribute_budget(const ir::Application& app, const ScbdOptions& opti
     bb.min_cycles = curves[i].min_budget;
     bb.serial_cycles = curves[i].max_budget();
     bb.budget_cycles = budget[i];
-    bb.schedule = balance_body(app, body_ids[i], budget[i], options.latency,
-                               options.penalties);
+    bb.schedule = schedulers[i].balance(budget[i]);
     result.conflicts.merge(bb.schedule.conflicts);
     result.conflict_cost += bb.schedule.conflict_cost;
     result.bodies.push_back(std::move(bb));

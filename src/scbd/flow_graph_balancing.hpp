@@ -40,6 +40,56 @@ struct BalanceResult {
   bool feasible = false;                     ///< budget >= dependency critical path
 };
 
+/// The budget-independent scheduling state of one loop body, built once and
+/// then balanced at any number of budgets: the access units and their
+/// dependency DAG, latencies, ASAP and reverse earliest starts, topological
+/// order, both budget bounds, and the pair penalties over the body's groups.
+/// `distribute_budget` prices a body's whole cost curve from one instance;
+/// the free functions below build one per call.
+class BodyScheduler {
+ public:
+  BodyScheduler(const ir::Application& app, ir::LoopBodyId body,
+                const graph::LatencyModel& latency = {},
+                const ConflictPenalties& penalties = {});
+
+  /// See `min_body_budget` (0 for a body without accesses).
+  [[nodiscard]] std::uint64_t min_budget() const { return min_budget_; }
+  /// See `serial_body_budget`: independent of the latency model given here.
+  [[nodiscard]] std::uint64_t serial_budget() const { return serial_budget_; }
+
+  /// See `balance_body`.
+  [[nodiscard]] BalanceResult balance(std::uint64_t budget_cycles) const;
+
+  /// `balance(budget_cycles).conflict_cost`, bit for bit, without building
+  /// the conflict graph: one point of a cost curve.
+  [[nodiscard]] double conflict_cost(std::uint64_t budget_cycles) const;
+
+ private:
+  /// Schedules every unit into `budget_cycles` slots: per slot, its units
+  /// in placement order.
+  [[nodiscard]] std::vector<std::vector<std::size_t>> place(
+      std::uint64_t budget_cycles) const;
+  /// Penalty-weighted conflict cost per frame of every pair of units sharing
+  /// a slot; with `conflicts`, also adds each pair to it.
+  double harvest(const std::vector<std::vector<std::size_t>>& slots,
+                 graph::ConflictGraph* conflicts) const;
+
+  std::uint64_t min_budget_ = 0;
+  std::uint64_t serial_budget_ = 0;
+  double frame_weight_ = 0.0;  ///< body iterations per frame
+  // Per unit.
+  std::vector<double> weight_;            ///< expected executions per iteration (<= 1)
+  std::vector<std::size_t> group_;        ///< body-local group index
+  std::vector<double> latency_;
+  std::vector<double> asap_;
+  std::vector<double> reverse_start_;     ///< earliest start in the reversed DAG
+  std::vector<std::vector<std::size_t>> predecessors_;
+  std::vector<std::size_t> topological_;  ///< one topological order of the units
+  // Per body-local group.
+  std::vector<ir::BasicGroupId> group_ids_;
+  std::vector<double> penalty_;  ///< group_ids_.size()^2 pair penalties
+};
+
 /// Minimal per-iteration budget for which the body is schedulable: the
 /// dependency critical path measured in whole cycles.
 [[nodiscard]] std::uint64_t min_body_budget(const ir::Application& app, ir::LoopBodyId body,

@@ -351,6 +351,40 @@ TEST(Determinism, AutoCountEvaluateCountersIdenticalAcrossParallelism) {
   EXPECT_GT(serial.counter_or("parallel.tasks"), 0u);
 }
 
+TEST(Spans, SharedAttributionEnclosesTheMergedEvaluate) {
+  const auto make_app = [](const std::string& name) {
+    ir::Application app(name);
+    ir::LoopBody body;
+    body.name = "loop";
+    body.iterations = 10'000;
+    for (int i = 0; i < 4; ++i) {
+      const auto id = app.add_group({"g" + std::to_string(i), 256u << i, 8});
+      body.accesses.push_back({id, ir::AccessKind::kRead, 1.0});
+    }
+    app.add_body(body);
+    return app;
+  };
+  const auto a = make_app("a");
+  const auto b = make_app("b");
+  auto& global = TelemetryRegistry::global();
+  global.reset();
+  const core::Explorer explorer{memlib::MemoryLibrary{}};
+  (void)explorer.evaluate_shared_per_workload({{"a", &a}, {"b", &b}}, {});
+
+  std::vector<TraceEvent> attribution;
+  std::vector<TraceEvent> scbd;
+  for (const auto& event : global.trace_events()) {
+    if (event.name == "explore.shared_attribution") attribution.push_back(event);
+    if (event.name == "scbd.distribute") scbd.push_back(event);
+  }
+  global.reset();
+  ASSERT_EQ(attribution.size(), 1u);
+  ASSERT_EQ(scbd.size(), 1u);  // the merged model's one evaluate
+  EXPECT_GE(scbd[0].start_us, attribution[0].start_us);
+  EXPECT_LE(scbd[0].start_us + scbd[0].duration_us,
+            attribution[0].start_us + attribution[0].duration_us);
+}
+
 TEST(Spans, BalancedUnderSolverCancellation) {
   auto& global = TelemetryRegistry::global();
   global.reset();

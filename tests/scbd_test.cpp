@@ -1,9 +1,19 @@
 // Tests for flow-graph balancing and storage cycle budget distribution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/explorer.hpp"
+#include "obs/telemetry.hpp"
 #include "scbd/budget_distribution.hpp"
 #include "scbd/flow_graph_balancing.hpp"
+#include "scbd_reference.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
+#include "workloads/workload.hpp"
 
 namespace dtse::scbd {
 namespace {
@@ -250,6 +260,222 @@ TEST_P(BudgetSweep, UsedNeverExceedsBudgetWhenFeasible) {
 INSTANTIATE_TEST_SUITE_P(Budgets, BudgetSweep,
                          ::testing::Values(1500, 2020, 2100, 2500, 3000, 4040, 9999,
                                            100000));
+
+// --- telemetry ---------------------------------------------------------------
+
+TEST(BudgetDistribution, CountsCallsBodiesAndCurvePoints) {
+  // Both bodies: 4 independent units, critical path 1, serial budget 4, so
+  // each cost curve is priced at budgets 1..4.
+  const auto app = two_body_app();
+  auto& registry = obs::TelemetryRegistry::global();
+  const auto before = registry.snapshot();
+  (void)distribute_budget(app, {});
+  const auto after = registry.snapshot();
+  const auto delta = [&](const char* name) {
+    return after.counter_or(name) - before.counter_or(name);
+  };
+  EXPECT_EQ(delta("scbd.calls"), 1u);
+  EXPECT_EQ(delta("scbd.bodies"), 2u);
+  EXPECT_EQ(delta("scbd.curve_points"), 8u);
+  const auto spans = [](const obs::MetricsSnapshot& snapshot) {
+    for (const auto& timing : snapshot.timings) {
+      if (timing.name == "scbd.distribute") return timing.count;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(spans(after) - spans(before), 1u);
+}
+
+// --- differential test against the per-budget rebuild ------------------------
+//
+// The library balances every body from one `BodyScheduler`; the oracle in
+// scbd_reference.cpp rebuilds the body at each budget.  Results must agree
+// bit for bit, including the conflict graph's edge insertion order (which
+// `total_weight` and `clique_lower_bound` observe).
+
+void expect_same_conflicts(const graph::ConflictGraph& got, const graph::ConflictGraph& want,
+                           const std::string& where) {
+  const auto got_edges = got.edges();
+  const auto want_edges = want.edges();
+  ASSERT_EQ(got_edges.size(), want_edges.size()) << where;
+  for (std::size_t e = 0; e < got_edges.size(); ++e) {
+    EXPECT_EQ(got_edges[e].a, want_edges[e].a) << where << " edge " << e;
+    EXPECT_EQ(got_edges[e].b, want_edges[e].b) << where << " edge " << e;
+    EXPECT_EQ(got_edges[e].weight, want_edges[e].weight) << where << " edge " << e;
+  }
+  EXPECT_EQ(got.total_weight(), want.total_weight()) << where;
+  EXPECT_EQ(got.clique_lower_bound(), want.clique_lower_bound()) << where;
+}
+
+void expect_same_balance(const BalanceResult& got, const BalanceResult& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.budget_cycles, want.budget_cycles) << where;
+  EXPECT_EQ(got.slots, want.slots) << where;
+  EXPECT_EQ(got.conflict_cost, want.conflict_cost) << where;
+  EXPECT_EQ(got.feasible, want.feasible) << where;
+  expect_same_conflicts(got.conflicts, want.conflicts, where);
+}
+
+void expect_same_distribution(const ir::Application& app, const ScbdOptions& options,
+                              const std::string& where) {
+  const auto got = distribute_budget(app, options);
+  const auto want = reference::distribute_budget(app, options);
+  ASSERT_EQ(got.bodies.size(), want.bodies.size()) << where;
+  for (std::size_t i = 0; i < got.bodies.size(); ++i) {
+    const auto& g = got.bodies[i];
+    const auto& w = want.bodies[i];
+    const auto at = where + " body " + w.name;
+    EXPECT_EQ(g.body, w.body) << at;
+    EXPECT_EQ(g.name, w.name) << at;
+    EXPECT_EQ(g.iterations, w.iterations) << at;
+    EXPECT_EQ(g.min_cycles, w.min_cycles) << at;
+    EXPECT_EQ(g.serial_cycles, w.serial_cycles) << at;
+    EXPECT_EQ(g.budget_cycles, w.budget_cycles) << at;
+    expect_same_balance(g.schedule, w.schedule, at);
+  }
+  expect_same_conflicts(got.conflicts, want.conflicts, where);
+  EXPECT_EQ(got.used_cycles, want.used_cycles) << where;
+  EXPECT_EQ(got.minimum_cycles, want.minimum_cycles) << where;
+  EXPECT_EQ(got.conflict_free_cycles, want.conflict_free_cycles) << where;
+  EXPECT_EQ(got.conflict_cost, want.conflict_cost) << where;
+  EXPECT_EQ(got.feasible, want.feasible) << where;
+}
+
+/// Budgets spread over the model's own range: its critical-path minimum, a
+/// few points up to its conflict-free total, and one cycle below the minimum
+/// (infeasible).
+std::vector<std::uint64_t> budgets_across(const ir::Application& app) {
+  ScbdOptions generous;
+  generous.global_budget_cycles = std::uint64_t{1} << 62;
+  const auto bounds = reference::distribute_budget(app, generous);
+  const auto lo = bounds.minimum_cycles;
+  const auto hi = bounds.conflict_free_cycles;
+  std::vector<std::uint64_t> budgets;
+  if (lo > 1) budgets.push_back(lo - 1);
+  for (const std::uint64_t eighth : {0u, 1u, 3u, 5u, 8u}) {
+    budgets.push_back(std::max<std::uint64_t>(1, lo + (hi - lo) * eighth / 8));
+  }
+  return budgets;
+}
+
+TEST(ScbdDifferential, TunedKernelModelsAndTheirMerge) {
+  workloads::WorkloadOptions profile;
+  profile.profile_size = 64;
+  std::vector<std::pair<std::string, ir::Application>> models;
+  for (const auto name : workloads::workload_names()) {
+    const auto* workload = workloads::find_workload(name);
+    models.emplace_back(std::string(name), workload->tuned_variant(workload->profile(profile)));
+  }
+  std::vector<std::pair<std::string, const ir::Application*>> labelled;
+  for (const auto& [label, app] : models) labelled.emplace_back(label, &app);
+  models.emplace_back("merged", core::merge_applications(labelled, "shared"));
+
+  const core::ExplorerOptions explorer;
+  for (const auto& [label, app] : models) {
+    ScbdOptions options = explorer.scbd;
+    for (const std::uint64_t percent : {100u, 75u, 58u}) {
+      options.global_budget_cycles = explorer.real_time_budget_cycles * percent / 100;
+      expect_same_distribution(app, options, label + " @" + std::to_string(percent) + "%");
+    }
+    for (const auto budget : budgets_across(app)) {
+      options.global_budget_cycles = budget;
+      expect_same_distribution(app, options, label + " @" + std::to_string(budget));
+    }
+  }
+}
+
+/// A seeded random application: fractional per-iteration counts, dependency
+/// chains, groups forced on-chip and off-chip or large enough to be presumed
+/// off-chip, and every used group id offset past `padding` unused groups, as
+/// `merge_applications` offsets later workloads.
+ir::Application random_app(std::uint64_t seed, std::size_t padding) {
+  support::Rng rng(seed);
+  ir::Application app("random-" + std::to_string(seed));
+  for (std::size_t i = 0; i < padding; ++i) {
+    app.add_group({"pad" + std::to_string(i), 16, 8});
+  }
+  std::vector<ir::BasicGroupId> groups;
+  const auto group_count = 2 + rng.below(7);
+  for (std::uint64_t g = 0; g < group_count; ++g) {
+    ir::BasicGroup group{"g" + std::to_string(g), 64u << rng.below(12), 8};
+    switch (rng.below(4)) {
+      case 0: group.forced_location = memlib::Location::kOnChip; break;
+      case 1: group.forced_location = memlib::Location::kOffChip; break;
+      default: break;
+    }
+    groups.push_back(app.add_group(group));
+  }
+  const auto body_count = 1 + rng.below(4);
+  for (std::uint64_t b = 0; b < body_count; ++b) {
+    ir::LoopBody body;
+    body.name = "body" + std::to_string(b);
+    body.iterations = 1 + rng.below(5000);
+    const auto access_count = 1 + rng.below(9);
+    for (std::uint64_t a = 0; a < access_count; ++a) {
+      const auto kind = rng.below(2) == 0 ? ir::AccessKind::kRead : ir::AccessKind::kWrite;
+      // Whole counts, fractions below one, and whole-plus-fraction counts.
+      double count = 0.0;
+      switch (rng.below(3)) {
+        case 0: count = static_cast<double>(1 + rng.below(4)); break;
+        case 1: count = rng.uniform(0.05, 1.0); break;
+        default: count = static_cast<double>(1 + rng.below(3)) + rng.uniform(0.1, 0.9); break;
+      }
+      body.accesses.push_back({groups[rng.below(groups.size())], kind, count});
+    }
+    // Forward edges only, so chains of any length but never a cycle.
+    for (std::size_t from = 0; from < body.accesses.size(); ++from) {
+      for (std::size_t to = from + 1; to < body.accesses.size(); ++to) {
+        if (rng.below(4) == 0) body.deps.emplace_back(from, to);
+      }
+    }
+    app.add_body(body);
+  }
+  app.validate();
+  return app;
+}
+
+TEST(ScbdDifferential, SeededRandomBodies) {
+  graph::LatencyModel slow;
+  slow.offchip_cycles = 3.0;
+  slow.offchip_threshold_words = 4096;
+  // Non-integer latencies make ALAP round differently at each horizon, so
+  // only a per-budget mobility sort reproduces the oracle's unit order.
+  graph::LatencyModel fractional;
+  fractional.onchip_cycles = 0.7;
+  fractional.offchip_cycles = 1.3;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const auto app = random_app(seed, seed % 2 == 0 ? 0 : 300);
+    const auto where = "seed " + std::to_string(seed);
+    for (const auto& latency : {graph::LatencyModel{}, slow, fractional}) {
+      ScbdOptions options;
+      options.latency = latency;
+      for (const auto budget : budgets_across(app)) {
+        options.global_budget_cycles = budget;
+        expect_same_distribution(app, options, where + " @" + std::to_string(budget));
+      }
+      // Every body at every budget of its curve, plus one below its minimum.
+      for (const auto id : app.body_ids()) {
+        const auto min = reference::min_body_budget(app, id, latency);
+        const auto serial = reference::serial_body_budget(app, id);
+        EXPECT_EQ(min_body_budget(app, id, latency), min) << where;
+        EXPECT_EQ(serial_body_budget(app, id), serial) << where;
+        for (std::uint64_t b = min > 0 ? min - 1 : 0; b <= std::max(min, serial) + 1; ++b) {
+          expect_same_balance(balance_body(app, id, b, latency),
+                              reference::balance_body(app, id, b, latency),
+                              where + " body " + app.body(id).name + " @" + std::to_string(b));
+        }
+      }
+    }
+  }
+}
+
+TEST(ScbdDifferential, InfeasibleBudget) {
+  const auto app = random_app(7, 300);
+  ScbdOptions options;
+  options.global_budget_cycles = 1;
+  ASSERT_FALSE(reference::distribute_budget(app, options).feasible);
+  expect_same_distribution(app, options, "budget 1");
+}
 
 }  // namespace
 }  // namespace dtse::scbd
